@@ -385,14 +385,16 @@ pub fn sweep_network(
 }
 
 /// The default measured sweep: the synthetic network at 0.25/0.5/1/2/4×
-/// calibrated capacity, 32 requests per point.
+/// calibrated capacity, 96 requests per point — a saturated point then
+/// spans some 200 ms of a debug build, so one scheduler stall of the
+/// host does not read as a collapse in throughput.
 pub fn sweep_synthetic() -> ServingSweep {
     sweep_network(
         &synthetic_net(),
         "synthetic",
         &serve_config(),
         &[0.25, 0.5, 1.0, 2.0, 4.0],
-        32,
+        96,
     )
 }
 
@@ -873,16 +875,12 @@ mod tests {
             report.sched.p99,
             report.deadline
         );
-        // Admission OFF: the FIFO completes everything, and its p99
-        // keeps growing with the queue across the run.
+        // Admission OFF: the FIFO completes everything and sheds nothing.
+        // That its p99 keeps growing with the queue is a ratio of two
+        // wall-clock halves of a 32-request window; `examples/serving.rs
+        // --tenants` asserts it, in release, where CI runs it.
         assert_eq!(report.fifo.completed, report.fifo.submitted);
         assert_eq!(report.fifo.rejected + report.fifo.expired, 0);
-        assert!(
-            report.fifo_p99_grows(1.3),
-            "fifo halves {:?} → {:?} did not grow",
-            report.fifo.first_half_p99,
-            report.fifo.second_half_p99
-        );
         let table = render_overload(&report);
         assert!(table.contains("admission") && table.contains("fifo"));
     }

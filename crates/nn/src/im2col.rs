@@ -95,7 +95,8 @@ pub fn matmul_accumulate(a: &Matrix, b: &Matrix) -> Vec<i32> {
                 continue;
             }
             for j in 0..b.cols {
-                out[i * b.cols + j] += av.wide_mul(b.get(k, j));
+                let o = &mut out[i * b.cols + j];
+                *o = o.wrapping_add(av.wide_mul(b.get(k, j)));
             }
         }
     }
@@ -123,7 +124,7 @@ pub fn conv_accumulate(
             let b = bias[f].to_accum();
             for x in 0..e {
                 for y in 0..e {
-                    out[(z, f, x, y)] = prod[f * e * e + x * e + y] + b;
+                    out[(z, f, x, y)] = prod[f * e * e + x * e + y].wrapping_add(b);
                 }
             }
         }

@@ -60,7 +60,7 @@ pub fn conv_accumulate(
                             let irow = input.row(z, c0 + k, u * x + i);
                             let wrow = weights.row(f, k, i);
                             for j in 0..r {
-                                acc += irow[u * y + j].wide_mul(wrow[j]);
+                                acc = acc.wrapping_add(irow[u * y + j].wide_mul(wrow[j]));
                             }
                         }
                     }

@@ -13,6 +13,7 @@ use crate::dram::DramModel;
 use crate::error::SimError;
 use crate::mesh::{HierarchicalMesh, MeshStats};
 use crate::passes::RsMapping;
+use crate::pe::FilterRows;
 use crate::rlc;
 use crate::scratch::SimScratch;
 use crate::stats::SimStats;
@@ -303,7 +304,7 @@ impl Accelerator {
                 let b = bf.to_accum();
                 for x in 0..shape.e {
                     for p in psums.row_mut(z, f, x) {
-                        *p += b;
+                        *p = p.wrapping_add(b);
                     }
                 }
             }
@@ -619,7 +620,7 @@ impl<'a> Engine<'a> {
     ///
     /// The pass is allocation-free: ifmap and filter rows are borrowed
     /// straight out of the tensors (contiguous innermost rows), and the
-    /// psum row accumulator is the scratch arena's, zeroed per use.
+    /// psum strip is the scratch arena's, zeroed per use.
     fn run_pass(&mut self, mg: usize, ng: usize, sg: usize, cg: usize) -> Result<(), SimError> {
         let _span = self.tele.span("sim.pass", "sim");
         let shape = *self.shape;
@@ -714,44 +715,61 @@ impl<'a> Engine<'a> {
         }
 
         // ---- compute: 1-D primitives + vertical accumulation ---------------
+        // As in the hardware PE, the ifmap row is the outer loop and the
+        // PE's interleaved filters the inner one: each row is looked up
+        // (and, on a CSC chip, encoded) once and slid under every filter
+        // of the set, filter `f` accumulating into row `f - fs.start` of
+        // the `row_acc` strip.
         let mut max_set_ops = 0u64;
         for sh in 0..map.t {
             let fs = map.filters_of(&shape, mg, sh);
+            if fs.is_empty() {
+                // A set past the layer's last filter idles this pass.
+                continue;
+            }
             for (yy, y) in yrows.clone().enumerate() {
-                for f in fs.clone() {
-                    for z in imgs.clone() {
-                        row_acc.clear();
-                        row_acc.resize(e_dim, 0);
-                        let mut chain_len = 0usize;
-                        for sv in 0..map.r {
-                            let cs = map.channels_of(&shape, cg, sv);
-                            if cs.is_empty() {
-                                continue;
-                            }
-                            chain_len += r_filt;
-                            for i in 0..r_filt {
-                                let pe = &mut pes[(sv * r_filt + i) * grid_cols + sh * map.e + yy];
-                                for c in cs.clone() {
-                                    let row_index =
-                                        ((f - fs.start) * cs.len() + (c - cs.start)) * r_filt;
-                                    let row = input.row(z, chan_base + c, u * y + i);
-                                    if csc_on {
-                                        csc::encode_row_into(row, csc_values, csc_indices);
+                for z in imgs.clone() {
+                    row_acc.clear();
+                    row_acc.resize(fs.len() * e_dim, 0);
+                    let mut chain_len = 0usize;
+                    for sv in 0..map.r {
+                        let cs = map.channels_of(&shape, cg, sv);
+                        if cs.is_empty() {
+                            continue;
+                        }
+                        chain_len += r_filt;
+                        // Spad distance between one channel's rows of
+                        // consecutive filters (the load order above).
+                        let filter_step = cs.len() * r_filt;
+                        for i in 0..r_filt {
+                            let pe = &mut pes[(sv * r_filt + i) * grid_cols + sh * map.e + yy];
+                            for c in cs.clone() {
+                                let row = input.row(z, chan_base + c, u * y + i);
+                                let rows = FilterRows {
+                                    first: (c - cs.start) * r_filt,
+                                    step: filter_step,
+                                    count: fs.len(),
+                                };
+                                if csc_on {
+                                    csc::encode_row_into(row, csc_values, csc_indices);
+                                    for (k, acc) in row_acc.chunks_exact_mut(e_dim).enumerate() {
                                         pe.run_primitive_csc(
-                                            row_index,
+                                            rows.first + k * rows.step,
                                             csc_values,
                                             csc_indices,
                                             row.len(),
                                             u,
                                             true,
-                                            row_acc,
+                                            acc,
                                         );
-                                    } else {
-                                        pe.run_primitive(row_index, row, u, true, row_acc);
                                     }
+                                } else {
+                                    pe.run_group(rows, row, u, true, row_acc, e_dim);
                                 }
                             }
                         }
+                    }
+                    for (f, acc) in fs.clone().zip(row_acc.chunks_exact(e_dim)) {
                         if chain_len > 0 {
                             chain.accumulate(e_dim, chain_len);
                         }
@@ -767,12 +785,8 @@ impl<'a> Engine<'a> {
                                 stats.profile.psum.buffer_writes += e_dim as f64;
                             }
                         }
-                        for (o, v) in out
-                            .row_mut(z, filt_base + f, y)
-                            .iter_mut()
-                            .zip(row_acc.iter())
-                        {
-                            *o += v;
+                        for (o, v) in out.row_mut(z, filt_base + f, y).iter_mut().zip(acc) {
+                            *o = o.wrapping_add(*v);
                         }
                     }
                 }
@@ -884,6 +898,31 @@ mod tests {
         assert_eq!(run.psums, golden);
         assert!(run.stats.gating_fraction() > 0.4);
         assert_eq!(run.stats.macs + run.stats.skipped_macs, shape.macs(1));
+    }
+
+    #[test]
+    fn full_scale_operands_wrap_like_the_reference() {
+        // CONV1's 11 taps of MIN x MIN (2^30 each) overflow an i32 psum
+        // within one filter row. Every datapath, the fold into the ofmap
+        // and both references wrap, in debug builds as in release.
+        let shape = LayerShape::conv(2, 2, 19, 11, 4).unwrap();
+        let input = Tensor4::from_fn([1, 2, 19, 19], |_, _, _, _| Fix16::MIN);
+        let weights = Tensor4::from_fn([2, 2, 11, 11], |_, _, _, _| Fix16::MIN);
+        let bias = [Fix16::MIN, Fix16::MAX];
+        let golden = reference::conv_accumulate(&shape, 1, &input, &weights, &bias);
+        let taps = (shape.c * shape.r * shape.r) as i64;
+        let exact = taps * (1i64 << 30) + i64::from(bias[0].to_accum());
+        assert!(exact > i64::from(i32::MAX));
+        assert_eq!(golden[(0, 0, 0, 0)], exact as i32);
+        assert_eq!(
+            eyeriss_nn::im2col::conv_accumulate(&shape, 1, &input, &weights, &bias),
+            golden
+        );
+        let chip = || Accelerator::new(AcceleratorConfig::eyeriss_chip());
+        for mut acc in [chip(), chip().zero_gating(true), chip().csc(true)] {
+            let run = acc.run_conv(&shape, 1, &input, &weights, &bias).unwrap();
+            assert_eq!(run.psums, golden);
+        }
     }
 
     #[test]

@@ -148,10 +148,19 @@ impl Pe {
     /// PE's scratchpad (true for interleaved primitives) — it only affects
     /// the access counting, not the arithmetic.
     ///
+    /// The arithmetic is one windowed MAC kernel, unrolled over the taps
+    /// for the (taps, stride) pairs the published networks use and a
+    /// scalar loop for every other geometry; accumulation wraps, like the
+    /// chip's adder. Zero-gating runs the **same** kernel — a gated MAC
+    /// would have added `0 x w`, so the psums cannot differ — and its
+    /// counters are closed forms of the row's zero taps (the zero pixels
+    /// each output window covers, summed), not a per-tap tally.
+    ///
     /// # Panics
     ///
     /// Panics if `row_index` does not address a loaded row, the psum row is
-    /// empty, or the ifmap row is shorter than the slide span.
+    /// empty, `stride` is zero, or the ifmap row is shorter than the slide
+    /// span.
     pub fn run_primitive(
         &mut self,
         row_index: usize,
@@ -160,68 +169,68 @@ impl Pe {
         accumulate_locally: bool,
         psums: &mut [i32],
     ) {
-        let slides = psums
-            .len()
-            .checked_sub(1)
-            .expect("psum row must be non-empty");
-        let r = ifmap_row
-            .len()
-            .checked_sub(slides * stride)
-            .expect("ifmap row shorter than slide span");
-        assert!(
-            row_index + r <= self.filter_spad.len(),
-            "filter row {row_index}+{r} not resident ({} loaded)",
-            self.filter_spad.len()
-        );
-        let filter_row = &self.filter_spad[row_index..row_index + r];
-        if !self.zero_gating {
-            // Dense fast path: every tap reads the ifmap pixel and the
-            // filter weight and performs the MAC, so the counters fold
-            // into one update per primitive (bit-identical totals) and
-            // the arithmetic loop stays tight.
-            for (x, psum) in psums.iter_mut().enumerate() {
-                let window = &ifmap_row[x * stride..x * stride + r];
-                for (w, i) in filter_row.iter().zip(window) {
-                    *psum += i.wide_mul(*w);
-                }
-            }
-            let ops = (psums.len() * r) as u64;
-            self.stats.ifmap_reads += ops;
-            self.stats.filter_reads += ops;
-            self.stats.macs += ops;
-            if accumulate_locally {
-                self.stats.psum_reads += ops;
-                self.stats.psum_writes += ops;
-            }
-            return;
+        let (rows, outputs) = (FilterRows::one(row_index), psums.len());
+        self.run_group(rows, ifmap_row, stride, accumulate_locally, psums, outputs);
+    }
+
+    /// The PE's interleaved primitives (Section V-B): each of the filter
+    /// `rows` slides over the one `ifmap_row`, the `k`-th accumulating
+    /// into `psums[k * outputs..][..outputs]`. Arithmetic and counters
+    /// equal one [`Pe::run_primitive`] per filter row; the ifmap row's
+    /// zero taps are counted once for the group.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`Pe::run_primitive`]'s conditions, or if `psums` is
+    /// not one `outputs`-wide row per filter row.
+    pub(crate) fn run_group(
+        &mut self,
+        rows: FilterRows,
+        ifmap_row: &[Fix16],
+        stride: usize,
+        accumulate_locally: bool,
+        psums: &mut [i32],
+        outputs: usize,
+    ) {
+        let taps = rows.taps(ifmap_row.len(), stride, psums, outputs);
+        let spad = &self.filter_spad;
+        // The kernel is picked by the primitive's own geometry: the
+        // (taps, stride) pairs of AlexNet, VGG, MobileNet's point- and
+        // depthwise layers and the served network are unrolled; anything
+        // else (FC rows, odd shapes) takes the scalar loop.
+        match (taps, stride) {
+            (1, 1) => slide::<1, 1>(spad, rows, ifmap_row, psums, outputs),
+            (3, 1) => slide::<3, 1>(spad, rows, ifmap_row, psums, outputs),
+            (3, 2) => slide::<3, 2>(spad, rows, ifmap_row, psums, outputs),
+            (5, 1) => slide::<5, 1>(spad, rows, ifmap_row, psums, outputs),
+            (11, 4) => slide::<11, 4>(spad, rows, ifmap_row, psums, outputs),
+            _ => slide_scalar(spad, rows, taps, ifmap_row, stride, psums, outputs),
         }
-        for (x, psum) in psums.iter_mut().enumerate() {
-            let window = &ifmap_row[x * stride..x * stride + r];
-            for (w, i) in filter_row.iter().zip(window) {
-                // The ifmap pixel is always read to be inspected; the
-                // filter read, multiply and psum update are gated when it
-                // is zero (Section V-E).
-                self.stats.ifmap_reads += 1;
-                if i.is_zero() {
-                    self.stats.skipped_macs += 1;
-                    continue;
-                }
-                self.stats.filter_reads += 1;
-                if accumulate_locally {
-                    self.stats.psum_reads += 1;
-                    self.stats.psum_writes += 1;
-                }
-                *psum += i.wide_mul(*w);
-                self.stats.macs += 1;
-            }
+        let ops = (rows.count * outputs * taps) as u64;
+        // The ifmap pixel is always read to be inspected; the filter
+        // read, multiply and psum update are gated when it is zero
+        // (Section V-E).
+        let skipped = if self.zero_gating {
+            rows.count as u64 * zero_taps(ifmap_row, taps, stride, outputs)
+        } else {
+            0
+        };
+        let performed = ops - skipped;
+        self.stats.ifmap_reads += ops;
+        self.stats.filter_reads += performed;
+        self.stats.macs += performed;
+        self.stats.skipped_macs += skipped;
+        if accumulate_locally {
+            self.stats.psum_reads += performed;
+            self.stats.psum_writes += performed;
         }
     }
 
     /// [`Pe::run_primitive`] over a CSC-encoded ifmap row (the Eyeriss v2
     /// sparse PE): iterates the row's nonzeros and scatters each into the
     /// output windows it participates in, so zero MACs are never issued.
-    /// Psums are **bit-exact** against the dense primitive — the i32
-    /// accumulations commute — and the counter invariant
+    /// Psums are **bit-exact** against the dense primitive — the wrapping
+    /// i32 accumulations commute — and the counter invariant
     /// `macs + skipped_macs == dense taps` is preserved; only
     /// `ifmap_reads` differs (one read per *nonzero*, since CSC storage
     /// holds no zeros to inspect).
@@ -251,12 +260,7 @@ impl Pe {
         let r = row_len
             .checked_sub(slides * stride)
             .expect("ifmap row shorter than slide span");
-        assert!(
-            row_index + r <= self.filter_spad.len(),
-            "filter row {row_index}+{r} not resident ({} loaded)",
-            self.filter_spad.len()
-        );
-        let filter_row = &self.filter_spad[row_index..row_index + r];
+        let filter_row = filter_row(&self.filter_spad, row_index, r);
         let mut performed = 0u64;
         for (v, &j) in values.iter().zip(indices) {
             let j = j as usize;
@@ -270,7 +274,7 @@ impl Pe {
             };
             let x_max = (j / stride).min(slides);
             for x in x_min..=x_max {
-                psums[x] += v.wide_mul(filter_row[j - x * stride]);
+                psums[x] = psums[x].wrapping_add(v.wide_mul(filter_row[j - x * stride]));
                 performed += 1;
             }
         }
@@ -284,6 +288,135 @@ impl Pe {
             self.stats.psum_writes += performed;
         }
     }
+}
+
+/// The filter rows one PE interleaves against a single ifmap row:
+/// `count` rows of the filter scratchpad, `step` words apart from
+/// `first`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FilterRows {
+    pub(crate) first: usize,
+    pub(crate) step: usize,
+    pub(crate) count: usize,
+}
+
+impl FilterRows {
+    /// The single filter row of a lone primitive.
+    fn one(row_index: usize) -> Self {
+        FilterRows {
+            first: row_index,
+            step: 0,
+            count: 1,
+        }
+    }
+
+    /// Filter taps of primitives that slide `outputs` windows, `stride`
+    /// apart, over exactly `row_len` pixels into the `psums` strip.
+    fn taps(&self, row_len: usize, stride: usize, psums: &[i32], outputs: usize) -> usize {
+        assert!(stride > 0, "stride must be positive");
+        let slides = outputs.checked_sub(1).expect("psum row must be non-empty");
+        assert_eq!(
+            psums.len(),
+            self.count * outputs,
+            "psum strip must hold one row per filter row"
+        );
+        row_len
+            .checked_sub(slides * stride)
+            .expect("ifmap row shorter than slide span")
+    }
+}
+
+/// The `taps` resident filter words starting at `row_index`.
+fn filter_row(spad: &[Fix16], row_index: usize, taps: usize) -> &[Fix16] {
+    assert!(
+        row_index + taps <= spad.len(),
+        "filter row {row_index}+{taps} not resident ({} loaded)",
+        spad.len()
+    );
+    &spad[row_index..row_index + taps]
+}
+
+/// The windowed MAC under every dense and zero-gated primitive, with
+/// taps and stride known at compile time: for each filter row `w` of
+/// the group, `psums[x] += sum_k row[x * S + k] * w[k]`, wrapping. The
+/// tap loop unrolls into one expression per output and the output loop
+/// vectorises, which a runtime-length tap loop of 3 to 11 does not.
+fn slide<const R: usize, const S: usize>(
+    spad: &[Fix16],
+    rows: FilterRows,
+    row: &[Fix16],
+    psums: &mut [i32],
+    outputs: usize,
+) {
+    for f in 0..rows.count {
+        let w = filter_row(spad, rows.first + f * rows.step, R);
+        let w: [Fix16; R] = w.try_into().expect("R taps");
+        let psums = &mut psums[f * outputs..(f + 1) * outputs];
+        for (psum, window) in psums.iter_mut().zip(row.windows(R).step_by(S)) {
+            let mut acc = *psum;
+            // Indexed so both operands have the constant length R.
+            #[allow(clippy::needless_range_loop)]
+            for k in 0..R {
+                acc = acc.wrapping_add(window[k].wide_mul(w[k]));
+            }
+            *psum = acc;
+        }
+    }
+}
+
+/// [`slide`] for any geometry, one tap at a time: the fallback for the
+/// shapes without an unrolled kernel.
+fn slide_scalar(
+    spad: &[Fix16],
+    rows: FilterRows,
+    taps: usize,
+    row: &[Fix16],
+    stride: usize,
+    psums: &mut [i32],
+    outputs: usize,
+) {
+    for f in 0..rows.count {
+        let w = filter_row(spad, rows.first + f * rows.step, taps);
+        let psums = &mut psums[f * outputs..(f + 1) * outputs];
+        for (x, psum) in psums.iter_mut().enumerate() {
+            let window = &row[x * stride..x * stride + taps];
+            for (w, i) in w.iter().zip(window) {
+                *psum = psum.wrapping_add(i.wide_mul(*w));
+            }
+        }
+    }
+}
+
+/// The taps of one primitive whose ifmap operand is zero: the zero
+/// pixels each of the `outputs` windows covers, summed over the windows.
+///
+/// Counted by tap instead, visiting each pixel about once: tap `k` meets
+/// pixels `k, k + stride, ...`, one per output, so the `m`-th run of
+/// `stride` consecutive taps meets the contiguous pixels
+/// `m * stride..(m + outputs) * stride` — its predecessor's, less the
+/// `stride` pixels that one started on, plus the `stride` past its end.
+/// The fewer than `stride` taps left over each stride the row alone.
+fn zero_taps(row: &[Fix16], taps: usize, stride: usize, outputs: usize) -> u64 {
+    let zeros = |pixels: &[Fix16]| pixels.iter().filter(|p| p.is_zero()).count() as u64;
+    if outputs == 1 {
+        // An FC row is its one window; taken a tap at a time below, a
+        // zero-gated FC layer simulates 1.6x slower.
+        return zeros(row);
+    }
+    let (runs, span) = (taps / stride, outputs * stride);
+    let mut total = 0;
+    if runs > 0 {
+        let mut met = zeros(&row[..span]);
+        total = met;
+        for left in (0..runs - 1).map(|m| m * stride) {
+            let entered = zeros(&row[left + span..][..stride]);
+            met = met + entered - zeros(&row[left..][..stride]);
+            total += met;
+        }
+    }
+    (runs * stride..taps)
+        .flat_map(|k| row[k..].iter().step_by(stride).take(outputs))
+        .fold(total, |n, pixel| n + u64::from(pixel.is_zero()))
 }
 
 #[cfg(test)]
@@ -342,6 +475,15 @@ mod tests {
         let mut pe = Pe::new(4, 8);
         assert!(pe.load_filter_row(&[Fix16::ZERO; 3]).is_ok());
         assert_eq!(pe.load_filter_row(&[Fix16::ZERO; 3]), Err(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn zero_stride_panics() {
+        let mut pe = Pe::new(4, 4);
+        pe.set_zero_gating(true);
+        pe.load_filter_row(&[Fix16::ONE; 3]).unwrap();
+        pe.run_primitive(0, &[Fix16::ONE; 3], 0, true, &mut [0i32; 2]);
     }
 
     #[test]
@@ -490,6 +632,164 @@ mod tests {
             );
             // CSC storage never inspects zeros: one read per nonzero.
             proptest::prop_assert_eq!(sparse.stats.ifmap_reads, vals.len() as u64);
+        }
+    }
+
+    /// The zero-gated datapath as it ran before the shared kernel, one
+    /// tap at a time: every tap inspects its pixel and a zero one gates
+    /// the filter read, the multiply and the psum update. The oracle for
+    /// the kernels' psums and for the closed-form counters.
+    fn per_tap_gated(
+        filter_row: &[Fix16],
+        ifmap_row: &[Fix16],
+        stride: usize,
+        accumulate_locally: bool,
+        psums: &mut [i32],
+    ) -> PeStats {
+        let mut stats = PeStats::default();
+        for (x, psum) in psums.iter_mut().enumerate() {
+            let window = &ifmap_row[x * stride..x * stride + filter_row.len()];
+            for (w, i) in filter_row.iter().zip(window) {
+                stats.ifmap_reads += 1;
+                if i.is_zero() {
+                    stats.skipped_macs += 1;
+                    continue;
+                }
+                stats.filter_reads += 1;
+                if accumulate_locally {
+                    stats.psum_reads += 1;
+                    stats.psum_writes += 1;
+                }
+                *psum = psum.wrapping_add(i.wide_mul(*w));
+                stats.macs += 1;
+            }
+        }
+        stats
+    }
+
+    /// `pool` as pixels, zeroed where `mask` (values 0..4) falls under the
+    /// sparsity's threshold: 0 zeroes none, 1 half, 2 three quarters, 3
+    /// every one.
+    fn sparsify(pool: &[i16], mask: &[u8], sparsity: u8) -> Vec<Fix16> {
+        let zeroed_below = [0u8, 2, 3, 4][sparsity as usize];
+        pool.iter()
+            .zip(mask)
+            .map(|(&v, &m)| {
+                if m < zeroed_below {
+                    Fix16::ZERO
+                } else {
+                    Fix16::from_raw(v)
+                }
+            })
+            .collect()
+    }
+
+    /// Longest row the kernel properties slide over: 40 outputs, stride
+    /// 4, 12 taps.
+    const POOL: usize = 39 * 4 + 12;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every (taps, stride) in 1..=12 x 1..=4 — the five unrolled
+        /// kernels and 43 fallback geometries, all of them in every
+        /// case — on full-range operands and accumulators: dense, gated
+        /// and CSC psums equal the per-tap oracle's, and the gated
+        /// path's closed-form counters equal its per-tap tally.
+        #[test]
+        fn prop_kernels_and_closed_form_counters_match_the_per_tap_oracle(
+            pool in proptest::collection::vec(proptest::arbitrary::any::<i16>(), POOL..POOL + 1),
+            mask in proptest::collection::vec(0u8..4, POOL..POOL + 1),
+            weights in proptest::collection::vec(proptest::arbitrary::any::<i16>(), 12..13),
+            carried in proptest::arbitrary::any::<i32>(),
+            outputs in 1usize..=40,
+            sparsity in 0u8..4,
+            local in proptest::arbitrary::any::<bool>(),
+        ) {
+            let pixels = sparsify(&pool, &mask, sparsity);
+            let weights: Vec<Fix16> = weights.into_iter().map(Fix16::from_raw).collect();
+            // Psums arrive already carrying a (possibly full-scale) sum.
+            let carried: Vec<i32> = (0..outputs as i32).map(|x| carried.wrapping_mul(x + 1)).collect();
+            for taps in 1..=12usize {
+                for stride in 1..=4usize {
+                    let row = &pixels[..(outputs - 1) * stride + taps];
+                    let filt = &weights[..taps];
+                    let mut want = carried.clone();
+                    let mut tally = per_tap_gated(filt, row, stride, local, &mut want);
+                    tally.filter_writes = taps as u64;
+
+                    let mut dense = Pe::new(taps, outputs);
+                    let mut gated = Pe::new(taps, outputs);
+                    gated.set_zero_gating(true);
+                    let mut sparse = Pe::new(taps, outputs);
+                    for pe in [&mut dense, &mut gated, &mut sparse] {
+                        pe.load_filter_row(filt).unwrap();
+                    }
+                    let (mut a, mut b, mut c) = (carried.clone(), carried.clone(), carried.clone());
+                    dense.run_primitive(0, row, stride, local, &mut a);
+                    gated.run_primitive(0, row, stride, local, &mut b);
+                    let (mut vals, mut idxs) = (Vec::new(), Vec::new());
+                    crate::csc::encode_row_into(row, &mut vals, &mut idxs);
+                    sparse.run_primitive_csc(0, &vals, &idxs, row.len(), stride, local, &mut c);
+
+                    let at = format!("taps {taps} stride {stride} outputs {outputs}");
+                    proptest::prop_assert_eq!(&a, &want, "dense psums, {}", at);
+                    proptest::prop_assert_eq!(&b, &want, "gated psums, {}", at);
+                    proptest::prop_assert_eq!(&c, &want, "CSC psums, {}", at);
+                    proptest::prop_assert_eq!(gated.stats, tally, "gated counters, {}", at);
+                    // Dense performs every tap; CSC performs the gated
+                    // path's MACs but only ever reads nonzeros.
+                    let ops = (outputs * taps) as u64;
+                    let moved = if local { ops } else { 0 };
+                    let every_tap = PeStats {
+                        macs: ops,
+                        skipped_macs: 0,
+                        ifmap_reads: ops,
+                        filter_reads: ops,
+                        filter_writes: taps as u64,
+                        psum_reads: moved,
+                        psum_writes: moved,
+                    };
+                    proptest::prop_assert_eq!(dense.stats, every_tap, "dense counters, {}", at);
+                    let nonzeros = PeStats { ifmap_reads: vals.len() as u64, ..tally };
+                    proptest::prop_assert_eq!(sparse.stats, nonzeros, "CSC counters, {}", at);
+                }
+            }
+        }
+
+        /// A group of interleaved filter rows is one primitive per row:
+        /// same psums, same counters — dense or gated.
+        #[test]
+        fn prop_group_equals_one_primitive_per_filter_row(
+            pool in proptest::collection::vec(proptest::arbitrary::any::<i16>(), POOL..POOL + 1),
+            mask in proptest::collection::vec(0u8..4, POOL..POOL + 1),
+            weights in proptest::collection::vec(proptest::arbitrary::any::<i16>(), 72..73),
+            outputs in 1usize..=40,
+            taps in 1usize..=12,
+            stride in 1usize..=4,
+            filters in 1usize..=3,
+            gating in proptest::arbitrary::any::<bool>(),
+        ) {
+            let pixels = sparsify(&pool, &mask, 1);
+            let row = &pixels[..(outputs - 1) * stride + taps];
+            // Two channels' rows per filter, as `run_pass` lays them out:
+            // the group takes every other row.
+            let spad: Vec<Fix16> = weights[..2 * filters * taps].iter().map(|&w| Fix16::from_raw(w)).collect();
+            let mut grouped = Pe::new(spad.len(), outputs);
+            grouped.set_zero_gating(gating);
+            grouped.load_filter_row(&spad).unwrap();
+            let mut single = grouped.clone();
+
+            let mut strip = vec![0i32; filters * outputs];
+            let (first, step) = (taps, 2 * taps);
+            let rows = FilterRows { first, step, count: filters };
+            grouped.run_group(rows, row, stride, true, &mut strip, outputs);
+            let mut want = vec![0i32; filters * outputs];
+            for (k, psums) in want.chunks_exact_mut(outputs).enumerate() {
+                single.run_primitive(first + k * step, row, stride, true, psums);
+            }
+            proptest::prop_assert_eq!(&strip, &want);
+            proptest::prop_assert_eq!(grouped.stats, single.stats);
         }
     }
 

@@ -59,7 +59,10 @@ pub struct SimScratch {
     /// The PE pool: one entry per physical PE, spad allocations kept
     /// across runs.
     pub(crate) pes: Vec<Pe>,
-    /// One ofmap row of partial sums (the per-primitive accumulator).
+    /// The psum strip of one PE set: one ofmap row of partial sums per
+    /// filter the set interleaves, filter-major (`filters x E`), so one
+    /// ifmap row slides under every filter of the set before the next
+    /// row is fetched.
     pub(crate) row_acc: Vec<i32>,
     /// RLC code-word buffer for compression-ratio accounting.
     pub(crate) rlc_words: Vec<u64>,

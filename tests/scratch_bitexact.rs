@@ -178,3 +178,139 @@ fn engine_simulate_pooling_is_bit_exact() {
         assert_eq!(got.stats, want.stats);
     }
 }
+
+/// The counters [`pinned_cells`] fingerprints, in order.
+const PINNED_FIELDS: [&str; 18] = [
+    "macs",
+    "skipped_macs",
+    "ifmap.rf_reads",
+    "filter.rf_reads",
+    "filter.rf_writes",
+    "psum.rf_reads",
+    "psum.rf_writes",
+    "filter.array_hops",
+    "ifmap.array_hops",
+    "psum.array_hops",
+    "noc.transactions",
+    "ifmap.buffer_reads",
+    "filter.buffer_reads",
+    "psum.buffer_reads",
+    "psum.buffer_writes",
+    "cycles",
+    "stall_cycles",
+    "dram_raw_words",
+];
+
+/// Four layers x {plain, zero-gating, CSC} on the 6x8 test chip, each
+/// reduced to the counters of [`PINNED_FIELDS`]. The chips run over a
+/// single-cluster mesh: its routing factor is exactly 1.0, so every hop
+/// count is the v1 buses', and it is the one configuration that exposes
+/// the buses' transaction count in `SimStats`.
+fn pinned_cells() -> Vec<(String, [u64; 18])> {
+    let hw = small_chip();
+    // E = 11 > 8 columns -> two strips; stride 2; batch 2.
+    let strided = LayerShape::conv(6, 3, 23, 3, 2).unwrap();
+    // Three groups, each its own engine run.
+    let grouped = LayerShape::conv_grouped(6, 2, 13, 3, 1, 3).unwrap();
+    let depthwise = LayerShape::depthwise(5, 11, 3, 2).unwrap();
+    // Ifmap-resident loop order: filters stream from DRAM per pass, the
+    // psum tile folds through the buffer across two channel groups.
+    let streamed = LayerShape::conv(6, 4, 12, 3, 1).unwrap();
+    let streamed_map = eyeriss_sim::passes::RsMapping {
+        n: 1,
+        p: 2,
+        q: 1,
+        e: 5,
+        r: 2,
+        t: 1,
+        filter_resident: false,
+    };
+    let layers = [
+        ("strided", strided, 2, None),
+        ("grouped", grouped, 2, None),
+        ("depthwise", depthwise, 1, None),
+        ("streamed", streamed, 2, Some(streamed_map)),
+    ];
+    let mut cells = Vec::new();
+    for (name, shape, n, mapping) in layers {
+        let input = synth::sparse_ifmap(&shape, n, 41, 0.5);
+        let weights = synth::filters(&shape, 42);
+        let bias = synth::biases(&shape, 43);
+        let golden = reference::conv_accumulate(&shape, n, &input, &weights, &bias);
+        for mode in ["plain", "gated", "csc"] {
+            let mut chip = Accelerator::new(hw)
+                .zero_gating(mode == "gated")
+                .csc(mode == "csc")
+                .mesh(eyeriss_sim::mesh::HierarchicalMesh::single_cluster(hw.grid));
+            let run = match mapping {
+                Some(m) => chip.run_conv_planned(m, &shape, n, &input, &weights, &bias),
+                None => chip.run_conv(&shape, n, &input, &weights, &bias),
+            }
+            .unwrap();
+            assert_eq!(run.psums, golden, "{name}/{mode}");
+            if let Some(m) = mapping {
+                assert_eq!(run.mapping, m);
+            }
+            let s = &run.stats;
+            let p = &s.profile;
+            let counts = [
+                s.macs as f64,
+                s.skipped_macs as f64,
+                p.ifmap.rf_reads,
+                p.filter.rf_reads,
+                p.filter.rf_writes,
+                p.psum.rf_reads,
+                p.psum.rf_writes,
+                p.filter.array_hops,
+                p.ifmap.array_hops,
+                p.psum.array_hops,
+                s.mesh.expect("mesh stats recorded").transactions as f64,
+                p.ifmap.buffer_reads,
+                p.filter.buffer_reads,
+                p.psum.buffer_reads,
+                p.psum.buffer_writes,
+                s.cycles as f64,
+                s.stall_cycles as f64,
+                s.dram_raw_words as f64,
+            ];
+            for (c, field) in counts.iter().zip(PINNED_FIELDS) {
+                assert_eq!(c.fract(), 0.0, "{name}/{mode} {field} is a whole count");
+            }
+            cells.push((format!("{name}/{mode}"), counts.map(|c| c as u64)));
+        }
+    }
+    cells
+}
+
+/// [`pinned_cells`] as captured at the parent of the PE-kernel change
+/// (commit fd4ae20: per-tap gated loop, filter-outer `run_pass`).
+#[rustfmt::skip]
+const PINNED: [(&str, [u64; 18]); 12] = [
+    ("strided/plain", [39204, 0, 39204, 39204, 1782, 39204, 39204, 1782, 4554, 10164, 516, 3312, 324, 1452, 1452, 1584, 65, 4926]),
+    ("strided/gated", [19464, 19740, 39204, 19464, 1782, 19464, 19464, 1782, 4554, 10164, 516, 3312, 324, 1452, 1452, 1584, 65, 4926]),
+    ("strided/csc", [19464, 19740, 13698, 19464, 1782, 19464, 19464, 1782, 4554, 10164, 516, 3312, 324, 1452, 1452, 1584, 65, 4926]),
+    ("grouped/plain", [26136, 0, 26136, 26136, 1188, 26136, 26136, 1188, 5148, 7260, 384, 2340, 216, 0, 0, 792, 84, 3900]),
+    ("grouped/gated", [13012, 13124, 26136, 13012, 1188, 13012, 13012, 1188, 5148, 7260, 384, 2340, 216, 0, 0, 792, 84, 3900]),
+    ("grouped/csc", [13012, 13124, 5144, 13012, 1188, 13012, 13012, 1188, 5148, 7260, 384, 2340, 216, 0, 0, 792, 84, 3900]),
+    ("depthwise/plain", [1125, 0, 1125, 1125, 225, 1125, 1125, 225, 825, 250, 95, 605, 0, 0, 0, 75, 90, 775]),
+    ("depthwise/gated", [570, 555, 1125, 570, 225, 570, 570, 225, 825, 250, 95, 605, 0, 0, 0, 75, 90, 775]),
+    ("depthwise/csc", [570, 555, 415, 570, 225, 570, 570, 225, 825, 250, 95, 605, 0, 0, 0, 75, 90, 775]),
+    ("streamed/plain", [43200, 0, 43200, 43200, 4320, 43200, 43200, 4320, 8640, 12000, 864, 4032, 0, 1200, 1200, 1440, 198, 3408]),
+    ("streamed/gated", [21444, 21756, 43200, 21444, 4320, 21444, 21444, 4320, 8640, 12000, 864, 4032, 0, 1200, 1200, 1440, 198, 3408]),
+    ("streamed/csc", [21444, 21756, 8670, 21444, 4320, 21444, 21444, 4320, 8640, 12000, 864, 4032, 0, 1200, 1200, 1440, 198, 3408]),
+];
+
+/// `model_energy_per_mac` only checks the energy-weighted sum of these;
+/// a kernel or loop-order change in the simulator's hot path must leave
+/// every one of them where it was.
+#[test]
+fn sim_stats_are_pinned_across_pe_kernel_and_pass_order() {
+    let cells = pinned_cells();
+    assert_eq!(cells.len(), PINNED.len());
+    for ((name, got), (want_name, want)) in cells.iter().zip(&PINNED) {
+        assert_eq!(name, want_name);
+        for ((g, w), field) in got.iter().zip(want).zip(PINNED_FIELDS) {
+            assert_eq!(g, w, "{name}: {field}");
+        }
+    }
+}
