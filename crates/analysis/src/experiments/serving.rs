@@ -14,10 +14,10 @@
 //!   multiples of its calibrated capacity and records achieved
 //!   throughput plus p50/p99 latency at each point — the canonical
 //!   latency/throughput serving curve.
-//! * [`overload_comparison`] — **admission control vs the legacy
-//!   FIFO** at the same ≥2× overload: the sched server sheds what
-//!   cannot make its deadline and keeps completed-request p99 bounded,
-//!   while the FIFO's p99 grows with the queue.
+//! * [`overload_comparison`] — **admission control vs no deadlines**
+//!   at the same ≥2× overload: with deadlines the server sheds what
+//!   cannot make them and keeps completed-request p99 bounded, while
+//!   without them (plain FIFO order) p99 grows with the queue.
 //! * [`fairness_drr`] — **DRR fairness**: two backlogged tenants with
 //!   3:1 weights; completed-throughput shares converge to the weight
 //!   ratio.
@@ -429,11 +429,11 @@ pub fn render_sweep(sweep: &ServingSweep) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Overload: admission control vs the legacy FIFO at the same 2× load
+// Overload: admission with deadlines vs none at the same 2× load
 // ---------------------------------------------------------------------------
 
 /// Warmup requests per overload server — enough worker-fed samples to
-/// calibrate the sched server's admission estimator before measuring.
+/// calibrate the server's admission estimator before measuring.
 const OVERLOAD_WARMUPS: usize = 4;
 
 /// Per-request deadline, as a multiple of the calibrated no-backlog
@@ -450,22 +450,22 @@ pub struct OverloadPoint {
     pub submitted: usize,
     /// Requests that completed.
     pub completed: usize,
-    /// Requests rejected at admission (sched server only).
+    /// Requests rejected at admission (deadline run only).
     pub rejected: usize,
     /// Requests admitted but shed at dispatch — their deadline expired
-    /// while queued (sched server only).
+    /// while queued (deadline run only).
     pub expired: usize,
     /// p99 end-to-end latency over completed requests.
     pub p99: Duration,
     /// p99 over completions from the first half of the submission order.
     pub first_half_p99: Duration,
     /// p99 over completions from the second half of the submission
-    /// order — on the FIFO this keeps growing with the queue.
+    /// order — without deadlines this keeps growing with the queue.
     pub second_half_p99: Duration,
 }
 
-/// Admission ON vs the legacy FIFO at the same ≥2× overload, from
-/// [`overload_comparison`].
+/// Admission with deadlines vs the same server without them, at the
+/// same ≥2× overload, from [`overload_comparison`].
 #[derive(Debug, Clone)]
 pub struct OverloadReport {
     /// Network name.
@@ -474,13 +474,14 @@ pub struct OverloadReport {
     pub capacity_rps: f64,
     /// Offered arrival rate (2× capacity), requests/second.
     pub offered_rps: f64,
-    /// The per-request deadline handed to the sched server, derived
+    /// The per-request deadline of the deadline run, derived
     /// from the admission controller's calibrated no-backlog estimate
     /// (× `OVERLOAD_DEADLINE_MULT`).
     pub deadline: Duration,
-    /// The sched server (admission ON).
+    /// Every request carries the deadline: admission sheds what cannot
+    /// make it.
     pub sched: OverloadPoint,
-    /// The legacy FIFO server (admission OFF).
+    /// No deadlines: nothing is shed and requests run in FIFO order.
     pub fifo: OverloadPoint,
 }
 
@@ -494,17 +495,18 @@ impl OverloadReport {
         self.sched.p99 <= self.deadline * 2
     }
 
-    /// True when the FIFO's second-half p99 exceeds its first-half p99
-    /// by at least `factor` — the unbounded-queue growth signature.
+    /// True when the no-deadline run's second-half p99 exceeds its
+    /// first-half p99 by at least `factor` — the unbounded-queue growth
+    /// signature.
     pub fn fifo_p99_grows(&self, factor: f64) -> bool {
         self.fifo.second_half_p99.as_secs_f64() >= self.fifo.first_half_p99.as_secs_f64() * factor
     }
 }
 
 /// Drives one overload server: prewarm + warmups (which calibrate the
-/// sched estimator), then `requests` paced open-loop submits. With
+/// admission estimator), then `requests` paced open-loop submits. With
 /// `deadline_mult` each request carries a deadline derived from the
-/// live completion estimate; `None` runs the plain FIFO path.
+/// live completion estimate; `None` submits without deadlines.
 fn overload_run(
     net: &Network,
     cfg: &ServeConfig,
@@ -526,7 +528,7 @@ fn overload_run(
     let deadline = deadline_mult.map(|mult| {
         let est = server
             .estimated_completion()
-            .expect("warmed sched server is calibrated");
+            .expect("warmed server is calibrated");
         Duration::from_secs_f64(est.as_secs_f64() * mult)
     });
     let interval = Duration::from_secs_f64(1.0 / offered_rps);
@@ -559,7 +561,7 @@ fn overload_run(
     }
     let stats = server.shutdown();
     // Ids are minted once per submit attempt (warmups first), so the
-    // half split below follows submission order on both servers.
+    // half split below follows submission order on both runs.
     let warm = OVERLOAD_WARMUPS as u64;
     let half = warm + requests as u64 / 2;
     let totals = |lo: u64, hi: u64| -> Vec<Duration> {
@@ -583,26 +585,25 @@ fn overload_run(
     (point, deadline)
 }
 
-/// Runs the admission-vs-FIFO overload comparison: both servers face
-/// the same open-loop load at 2× the calibrated capacity with a shared
-/// plan cache; the FIFO's queue is sized to absorb every request (no
-/// submit-side backpressure), so its latency growth is visible.
+/// Runs the deadlines-vs-none overload comparison: two identical
+/// servers face the same open-loop load at 2× the calibrated capacity
+/// with a shared plan cache; the queue is sized to absorb every request
+/// (nothing bounces as full), so the no-deadline run's latency growth
+/// is visible.
 pub fn overload_comparison(requests: usize) -> OverloadReport {
     let net = synthetic_net();
     let mut cfg = serve_config();
     // Half-size batches keep one batch's service well inside the
-    // deadline budget; the oversized queue lets the legacy path absorb
-    // the whole overload instead of blocking the client.
+    // deadline budget; the oversized queue lets the no-deadline run
+    // absorb the whole overload instead of rejecting it.
     cfg.policy.max_batch = 2;
     cfg.queue_capacity = requests + 8;
     let compiler = PlanCompiler::new(cfg.arrays, cfg.hw);
     let capacity_rps = calibrate(&net, &cfg, &compiler);
     let offered_rps = capacity_rps * 2.0;
-    let mut sched_cfg = cfg.clone();
-    sched_cfg.sched = Some(SchedConfig::new());
     let (sched, deadline) = overload_run(
         &net,
-        &sched_cfg,
+        &cfg,
         &compiler,
         offered_rps,
         requests,
@@ -613,7 +614,7 @@ pub fn overload_comparison(requests: usize) -> OverloadReport {
         network: "synthetic".to_string(),
         capacity_rps,
         offered_rps,
-        deadline: deadline.expect("sched run derives a deadline"),
+        deadline: deadline.expect("the deadline run derives a deadline"),
         sched,
         fifo,
     }
@@ -681,7 +682,7 @@ impl FairnessReport {
     }
 }
 
-/// Floods one single-worker, unbatched sched server with `per_tenant`
+/// Floods one single-worker, unbatched server with `per_tenant`
 /// requests from each of two tenants weighted 3:1, then samples the
 /// per-tenant completed counters the moment `threshold` total requests
 /// have finished — while both lanes are still backlogged, so the DRR
@@ -865,7 +866,7 @@ mod tests {
         assert!(report.sched.completed > 0, "some requests must be accepted");
         assert!(
             report.sched.rejected + report.sched.expired > 0,
-            "2× overload must shed work on the sched server"
+            "2× overload must shed work when requests carry deadlines"
         );
         // Admission ON: accepted-request p99 stays within the bounded
         // completion budget no matter the offered load.
@@ -875,7 +876,7 @@ mod tests {
             report.sched.p99,
             report.deadline
         );
-        // Admission OFF: the FIFO completes everything and sheds nothing.
+        // No deadlines: everything completes and nothing is shed.
         // That its p99 keeps growing with the queue is a ratio of two
         // wall-clock halves of a 32-request window; `examples/serving.rs
         // --tenants` asserts it, in release, where CI runs it.

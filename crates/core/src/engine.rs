@@ -62,14 +62,15 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Dynamic batching bounds.
     pub policy: BatchPolicy,
-    /// Submission-queue depth (full queue = backpressure).
+    /// Ready-queue depth (full queue = backpressure on `submit`).
     pub queue_capacity: usize,
     /// Declarative service-level objectives, evaluated live by the
     /// server's [`SloMonitor`](eyeriss_serve::SloMonitor) (empty =
     /// monitoring off). Only effective with telemetry enabled.
     pub slos: Vec<SloSpec>,
-    /// Multi-tenant scheduling layer (`None` = the legacy FIFO path);
-    /// see [`eyeriss_serve::sched`].
+    /// Tenants, DRR quantum and aging of the scheduling layer every
+    /// server runs (`None` = [`SchedConfig::default`]: the default
+    /// tenant only, FIFO order); see [`eyeriss_serve::sched`].
     pub sched: Option<SchedConfig>,
 }
 

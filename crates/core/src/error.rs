@@ -144,6 +144,7 @@ impl From<CostModelError> for EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eyeriss_serve::AdmissionError;
 
     #[test]
     fn displays_every_variant() {
@@ -161,7 +162,7 @@ mod tests {
         }
         .to_string()
         .contains("WS"));
-        assert!(EngineError::Serve(ServeError::Saturated)
+        assert!(EngineError::Serve(AdmissionError::QueueFull.into())
             .to_string()
             .contains("full"));
         assert!(

@@ -7,10 +7,10 @@
 //! Section VII-B) — at the cost of queueing latency. The
 //! [`BatchPolicy`] bounds both sides: a batch closes when it reaches
 //! `max_batch` requests or when `max_wait` has elapsed since its first
-//! request, whichever comes first.
+//! request, whichever comes first. The runtime's batcher forms batches
+//! under it with [`ReadyQueue::next_batch`](crate::sched::ReadyQueue::next_batch).
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bounds on how long and how wide a forming batch may grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,110 +41,79 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Collects the next batch from `rx` under `policy`.
-///
-/// Blocks until at least one item arrives, then drains further items
-/// until the batch is full or the deadline passes. Returns `None` once
-/// the channel is disconnected *and* empty — the shutdown signal.
-pub fn collect_batch<T>(rx: &Receiver<T>, policy: &BatchPolicy) -> Option<Vec<T>> {
-    let first = rx.recv().ok()?;
-    let deadline = Instant::now() + policy.max_wait;
-    let mut batch = vec![first];
-    while batch.len() < policy.max_batch.max(1) {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            // Deadline passed: take only what is already queued.
-            match rx.try_recv() {
-                Ok(item) => batch.push(item),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv_timeout(remaining) {
-                Ok(item) => batch.push(item),
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-    }
-    Some(batch)
-}
-
+/// What a policy means for batch formation, checked against the one
+/// batcher the runtime runs.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use crate::sched::ReadyQueue;
+    use std::time::Instant;
+
+    /// The first `rounds` batches `policy` forms from a single-tenant
+    /// queue holding `items` (closed up front when `close`); `None` is
+    /// the shutdown signal.
+    fn batches(
+        items: &[u32],
+        close: bool,
+        policy: BatchPolicy,
+        rounds: usize,
+    ) -> Vec<Option<Vec<u32>>> {
+        let q = ReadyQueue::new(64, 1.0, 0);
+        for &item in items {
+            q.push(item, 0, 1.0, 1, None, 0).unwrap();
+        }
+        if close {
+            q.close();
+        }
+        (0..rounds)
+            .map(|_| q.next_batch(&policy, || 0).map(|d| d.batch))
+            .collect()
+    }
+
+    fn policy(max_batch: usize, max_wait_ms: u64) -> BatchPolicy {
+        BatchPolicy {
+            max_batch,
+            max_wait: Duration::from_millis(max_wait_ms),
+        }
+    }
 
     #[test]
     fn fills_up_to_max_batch_from_queued_items() {
-        let (tx, rx) = mpsc::channel();
-        for i in 0..10 {
-            tx.send(i).unwrap();
-        }
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_millis(50),
-        };
-        assert_eq!(collect_batch(&rx, &policy), Some(vec![0, 1, 2, 3]));
-        assert_eq!(collect_batch(&rx, &policy), Some(vec![4, 5, 6, 7]));
+        let got = batches(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], false, policy(4, 50), 2);
+        assert_eq!(got, [Some(vec![0, 1, 2, 3]), Some(vec![4, 5, 6, 7])]);
     }
 
     #[test]
     fn unbatched_policy_takes_one_item() {
-        let (tx, rx) = mpsc::channel();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(collect_batch(&rx, &BatchPolicy::unbatched()), Some(vec![1]));
-        assert_eq!(collect_batch(&rx, &BatchPolicy::unbatched()), Some(vec![2]));
+        let got = batches(&[1, 2], false, BatchPolicy::unbatched(), 2);
+        assert_eq!(got, [Some(vec![1]), Some(vec![2])]);
     }
 
     #[test]
     fn zero_wait_takes_only_already_queued_items() {
-        let (tx, rx) = mpsc::channel();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-        };
         // Both items are queued before collection begins, so a zero-wait
         // policy still drains them without blocking.
-        assert_eq!(collect_batch(&rx, &policy), Some(vec![1, 2]));
+        assert_eq!(batches(&[1, 2], false, policy(8, 0), 1), [Some(vec![1, 2])]);
     }
 
     #[test]
     fn disconnect_before_any_item_signals_shutdown() {
-        let (tx, rx) = mpsc::channel::<u32>();
-        drop(tx);
-        assert_eq!(collect_batch(&rx, &BatchPolicy::default()), None);
+        assert_eq!(batches(&[], true, BatchPolicy::default(), 1), [None]);
     }
 
     #[test]
     fn disconnect_mid_batch_returns_partial_batch() {
-        let (tx, rx) = mpsc::channel();
-        tx.send(7).unwrap();
-        drop(tx);
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_millis(50),
-        };
-        assert_eq!(collect_batch(&rx, &policy), Some(vec![7]));
-        assert_eq!(collect_batch(&rx, &policy), None);
+        assert_eq!(batches(&[7], true, policy(4, 50), 2), [Some(vec![7]), None]);
     }
 
     #[test]
     fn deadline_closes_a_partial_batch() {
-        let (tx, rx) = mpsc::channel();
-        tx.send(1).unwrap();
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_millis(10),
-        };
         let start = Instant::now();
-        let batch = collect_batch(&rx, &policy).unwrap();
-        assert_eq!(batch, vec![1]);
+        assert_eq!(batches(&[1], false, policy(4, 10), 1), [Some(vec![1])]);
+        let waited = start.elapsed();
         assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline must bound the wait"
+            waited < Duration::from_secs(5),
+            "max_wait must bound the wait"
         );
-        drop(tx);
     }
 }

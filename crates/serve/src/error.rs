@@ -15,9 +15,6 @@ pub enum ServeError {
     NoPlan(String),
     /// A request's input tensor does not match the served network.
     Input(String),
-    /// The submission queue is full (only returned by the non-blocking
-    /// [`crate::Server::try_submit`]; the blocking path waits instead).
-    Saturated,
     /// The server is shutting down (or already gone) and the request
     /// cannot be accepted or completed.
     ShutDown,
@@ -27,8 +24,8 @@ pub enum ServeError {
     /// leaked; a supervisor restarts the worker for subsequent traffic.
     WorkerLost,
     /// The scheduling layer rejected the request: infeasible or expired
-    /// deadline, rate limit, overload shed, eviction, or an unknown
-    /// tenant (only on sched-enabled servers).
+    /// deadline, rate limit, overload shed, eviction, a full queue, or
+    /// an unknown tenant.
     Admission(AdmissionError),
     /// The cluster executor failed on a batch.
     Cluster(ClusterError),
@@ -49,7 +46,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::NoPlan(m) => write!(f, "no feasible plan: {m}"),
             ServeError::Input(m) => write!(f, "bad request input: {m}"),
-            ServeError::Saturated => write!(f, "submission queue is full"),
             ServeError::ShutDown => write!(f, "server is shut down"),
             ServeError::WorkerLost => {
                 write!(
@@ -106,7 +102,6 @@ mod tests {
     #[test]
     fn displays_every_variant() {
         assert!(ServeError::NoPlan("x".into()).to_string().contains("x"));
-        assert!(ServeError::Saturated.to_string().contains("full"));
         assert!(ServeError::ShutDown.to_string().contains("shut down"));
         assert!(ServeError::WorkerLost.to_string().contains("worker lost"));
         assert!(ServeError::from(ClusterError::Crashed { array: 2 })

@@ -14,13 +14,14 @@
 //!   immutable [`ClusterPlan`](eyeriss_cluster::ClusterPlan) in a
 //!   content-keyed [`PlanCache`], so repeated shapes (VGG's stacked 3×3
 //!   layers) and repeated requests never re-search.
-//! * [`batch`] — the **dynamic batcher**: coalesces compatible queued
-//!   requests up to a batch-size/deadline bound into one cluster
-//!   execution.
-//! * [`runtime`] — the **scheduler**: an MPSC submission queue with
-//!   backpressure feeding a pool of workers, each executing batches on a
-//!   private multi-array [`Cluster`](eyeriss_cluster::Cluster) from
-//!   cached plans via `Cluster::execute`, with per-request
+//! * [`batch`] — the **batching policy** ([`BatchPolicy`]): how wide a
+//!   batch of queued requests may grow and how long its first request
+//!   waits for company before it executes as one cluster run.
+//! * [`runtime`] — the **serving pipeline**: admission into a bounded
+//!   ready queue (a full queue makes [`Server::submit`] wait), one
+//!   batcher, and a supervised pool of workers, each executing batches
+//!   on a private multi-array [`Cluster`](eyeriss_cluster::Cluster)
+//!   from cached plans via `Cluster::execute`, with per-request
 //!   queue/compile/execute latency accounting.
 //! * [`persist`] — **plan-cache persistence**: compiled plans saved to
 //!   disk under a versioned schema and reloaded bit-exactly by a cold
@@ -38,8 +39,9 @@
 //!   controller that rejects infeasible deadlines up front and sheds
 //!   lowest-tier work while the SLO monitor burns, and a
 //!   deadline/priority ready queue arbitrated by deficit round robin.
-//!   Opt in with [`SchedConfig`] on [`ServeConfig::sched`]; without it
-//!   the legacy FIFO path is untouched.
+//!   Every server runs it: tenants come from [`SchedConfig`] on
+//!   [`ServeConfig::sched`], and a plain submit lands on the
+//!   always-present default tenant with no deadline, in FIFO order.
 //! * [`recover`] — **fault tolerance**: workers run batches under
 //!   `catch_unwind` with a supervisor restarting the dead; ABFT
 //!   checksum mismatches and injected crashes retry with bounded

@@ -188,10 +188,11 @@ pub struct ServerSnapshot {
     pub elapsed: Duration,
     /// Requests completed so far.
     pub completed: u64,
-    /// Requests shed by [`crate::Server::try_submit`] on a full queue.
+    /// Requests rejected at admission or evicted from a full queue.
     pub shed: u64,
-    /// Requests currently waiting in the submission queue (or picked up
-    /// by the batcher but not yet dispatched).
+    /// Requests currently waiting in the ready queue (or in a `submit`
+    /// waiting for room, or picked up by the batcher but not yet
+    /// dispatched).
     pub queue_depth: i64,
     /// Batches currently executing on workers.
     pub inflight_batches: i64,
@@ -233,8 +234,8 @@ pub struct ServerSnapshot {
     /// (`|measured − analytic_delay|`; populated only while telemetry
     /// is enabled — attribution is skipped otherwise).
     pub delay_residual: HistogramSnapshot,
-    /// Per-tenant counters, in tenant-id order — empty unless the
-    /// server runs with a [`SchedConfig`](crate::sched::SchedConfig).
+    /// Per-tenant counters, in tenant-id order, starting with the
+    /// always-present `"default"` tenant.
     pub tenants: Vec<TenantSnapshot>,
 }
 

@@ -1,23 +1,20 @@
-//! The request runtime: submission queue, dynamic batcher and the
-//! supervised multi-array scheduler.
+//! The request runtime: admission, the ready queue, the dynamic batcher
+//! and the supervised multi-array worker pool — one pipeline for every
+//! server.
 //!
 //! ```text
-//!  submit()──►[bounded MPSC queue]──►batcher──►[BatchQueue]─┬─►worker 0 (Cluster of A arrays)
-//!   blocks when full (backpressure)   coalesces up to       ├─►worker 1 (Cluster of A arrays)
-//!                                     max_batch / max_wait  └─►worker W-1      │
-//!                                                                     supervisor restarts the dead
+//!  submit(_with)──►admission──►[ReadyQueue]──►batcher──►[BatchQueue]─┬─►worker 0 (Cluster of A arrays)
+//!                  tenant,      tier→DRR→EDF;  up to max_batch /     ├─►worker 1 (Cluster of A arrays)
+//!                  deadline,    full: submit   max_wait; sheds       └─►worker W-1      │
+//!                  quota, burn  waits, the     expired entries                supervisor restarts the dead
+//!                               rest bounce
 //! ```
 //!
-//! With a [`SchedConfig`] the FIFO front-end is replaced by the
-//! scheduling layer ([`crate::sched`]) — per-tenant admission control
-//! in `submit_with`, then a deadline/priority [`ReadyQueue`] the
-//! batcher drains instead of the MPSC channel:
-//!
-//! ```text
-//!  submit_with(opts)──►admission──►[ReadyQueue: tier→DRR→EDF]──►batcher──►[BatchQueue]──►workers
-//!      tenant, deadline,  reject infeasible /   expired entries shed        (unchanged)
-//!      priority           over-quota / burn     at dispatch
-//! ```
+//! Tenants, deadlines and priorities come from the scheduling layer
+//! ([`crate::sched`]). A plain [`Server::submit`] is `submit_with` for
+//! the default tenant with no deadline, so without a [`SchedConfig`]
+//! requests dispatch in FIFO order and a full queue blocks the caller
+//! (backpressure).
 //!
 //! Each worker owns a private [`eyeriss_cluster::Cluster`] — array-level
 //! parallelism inside a batch flows through `eyeriss-par`'s
@@ -43,7 +40,7 @@
 //! are off by default and cost one branch when disabled.
 
 use crate::attrib::Attribution;
-use crate::batch::{collect_batch, BatchPolicy};
+use crate::batch::BatchPolicy;
 use crate::error::ServeError;
 use crate::metrics::{LatencyBreakdown, RequestRecord, ServerSnapshot, ServerStats};
 use crate::plan::{CompiledPlan, PlanCompiler, StagePlan};
@@ -68,7 +65,7 @@ use eyeriss_telemetry::{
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -168,8 +165,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Dynamic batching bounds.
     pub policy: BatchPolicy,
-    /// Submission-queue depth; a full queue blocks [`Server::submit`]
-    /// (backpressure) and fails [`Server::try_submit`].
+    /// Ready-queue depth; a full queue blocks [`Server::submit`]
+    /// (backpressure) and fails [`Server::try_submit`] and
+    /// [`Server::submit_with`] with [`AdmissionError::QueueFull`]
+    /// unless the request outranks a queued one.
     pub queue_capacity: usize,
     /// Per-array hardware configuration.
     pub hw: AcceleratorConfig,
@@ -187,10 +186,10 @@ pub struct ServeConfig {
     /// Capacity of the flight recorder: how many recent per-request
     /// [`Attribution`] summaries a breach dump covers.
     pub flight_capacity: usize,
-    /// Scheduling layer configuration. `None` (the default) keeps the
-    /// legacy FIFO path; `Some` routes every submit through tenant
-    /// admission control and the deadline/priority ready queue (see
-    /// [`crate::sched`]).
+    /// Scheduling layer configuration: tenants, DRR quantum and aging
+    /// (see [`crate::sched`]). `None` (the default) means
+    /// [`SchedConfig::default`] — only the `"default"` tenant, so plain
+    /// submits dispatch in FIFO order.
     pub sched: Option<SchedConfig>,
     /// Deterministic fault-injection schedule. `None` or an empty plan
     /// (the default) means no injection and zero hot-path cost; see
@@ -286,8 +285,13 @@ struct Pending {
     /// closed pool) — its `Drop` sends a typed
     /// [`ServeError::WorkerLost`], so no client ever hangs.
     tx: Option<Sender<Result<Response, ServeError>>>,
-    /// Scheduling provenance — present on sched-enabled servers only.
-    meta: Option<ReqMeta>,
+    /// The submitting tenant, whose counters record how this request
+    /// ends.
+    tenant: Arc<TenantState>,
+    /// Absolute deadline on the telemetry epoch timeline; checked again
+    /// at worker pickup so a request that outlived its deadline in the
+    /// dispatch pipeline expires instead of completing late.
+    deadline_ns: Option<u64>,
     /// `serve.failed` handle, carried so the drop guard can account a
     /// lost request without reaching the server.
     failed: Counter,
@@ -308,10 +312,16 @@ impl Pending {
     /// client.
     fn fail(&mut self, err: ServeError) {
         self.failed.inc();
-        if let Some(meta) = &self.meta {
-            meta.tenant.note_failed();
-        }
+        self.tenant.note_failed();
         self.respond(Err(err));
+    }
+
+    /// Sheds the request because its deadline passed before it could
+    /// execute, counting it in `expired` and against its tenant.
+    fn expire(&mut self, expired: &Counter) {
+        expired.inc();
+        self.tenant.note_expired();
+        self.respond(Err(AdmissionError::DeadlinePassed.into()));
     }
 
     /// Drops the responder without the worker-lost accounting — for
@@ -330,22 +340,9 @@ impl Drop for Pending {
     }
 }
 
-/// Scheduling metadata riding one request through the ready queue to
-/// the worker that completes (or sheds) it.
-struct ReqMeta {
-    tenant: Arc<TenantState>,
-    /// Absolute deadline on the telemetry epoch timeline; checked again
-    /// at worker pickup so a request that outlived its deadline in the
-    /// dispatch pipeline expires instead of completing late.
-    deadline_ns: Option<u64>,
-}
-
 /// Per-request scheduling options for
 /// [`Server::submit_with`] — tenant identity, an optional
 /// deadline and a priority override.
-///
-/// On servers without a [`SchedConfig`] the options are ignored (the
-/// legacy FIFO has no tenants or deadlines).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOptions {
     /// The submitting tenant (default: [`TenantId::DEFAULT`]).
@@ -433,23 +430,6 @@ impl RequestHandle {
     }
 }
 
-/// The submission front-end: the legacy FIFO channel, or the
-/// scheduling layer.
-enum Front {
-    Fifo(SyncSender<Pending>),
-    Sched(Arc<SchedShared>),
-}
-
-/// Shared state of a sched-enabled server: the ready queue the batcher
-/// pulls from, the tenant registry, the admission controller, and the
-/// memoized batch-1 analytic delay the completion estimate prices.
-struct SchedShared {
-    queue: ReadyQueue<Pending>,
-    registry: TenantRegistry,
-    admission: AdmissionController,
-    unit_cycles: OnceLock<Option<f64>>,
-}
-
 /// How a worker's loop ended, reported to the supervisor.
 enum WorkerExit {
     /// The dispatch queue closed and drained: clean shutdown.
@@ -462,17 +442,26 @@ enum WorkerExit {
     Died,
 }
 
-/// Everything a worker (and the supervisor respawning workers) needs,
-/// shared once behind an `Arc`.
-struct WorkerShared {
-    queue: Arc<BatchQueue<Vec<Pending>>>,
+/// Everything the server's threads share, once, behind an `Arc`: the
+/// submit path, the batcher, the workers and the supervisor that
+/// respawns them.
+struct Shared {
+    /// Admitted requests awaiting the batcher: tier → DRR → EDF.
+    ready: ReadyQueue<Pending>,
+    registry: TenantRegistry,
+    admission: AdmissionController,
+    /// The batch-1 analytic delay completion estimates price, memoized
+    /// on first use.
+    unit_cycles: OnceLock<Option<f64>>,
+    policy: BatchPolicy,
+    /// Formed batches awaiting a worker.
+    queue: BatchQueue<Vec<Pending>>,
     net: Arc<Network>,
-    plans: Arc<NetPlans>,
-    records: Arc<Mutex<Vec<RequestRecord>>>,
+    plans: NetPlans,
+    records: Mutex<Vec<RequestRecord>>,
     tele: Telemetry,
     metrics: ServeTele,
     monitor: SloMonitor,
-    sched: Option<Arc<SchedShared>>,
     /// Per-slot health records — shared with each slot's cluster and
     /// *surviving* worker restarts, so a quarantine outlives the panic
     /// that exposed the bad array.
@@ -484,12 +473,41 @@ struct WorkerShared {
     hw: AcceleratorConfig,
 }
 
+impl Shared {
+    /// Feeds one admission decision to the SLO monitor when a shed
+    /// spec is configured (a relaxed load plus a bool check otherwise).
+    fn observe_admission(&self, shed: bool) {
+        if self.monitor.wants_shed() && self.tele.enabled() {
+            self.monitor
+                .observe_shed(self.tele.since_epoch(Instant::now()), shed);
+        }
+    }
+
+    /// The live queue the completion estimate prices.
+    fn backlog(&self) -> Backlog {
+        Backlog {
+            queued: self.metrics.queue_depth.get(),
+            inflight: self.metrics.inflight_batches.get(),
+        }
+    }
+
+    /// The batch-1 plan's analytic delay, which prices completion
+    /// estimates: compiled on first use (prewarmed servers find it
+    /// cached), then memoized.
+    fn unit_cycles(&self) -> Option<f64> {
+        *self.unit_cycles.get_or_init(|| {
+            let plan = self.plans.get(1).ok()?;
+            Some(self.plans.attribution_basis(&plan).1)
+        })
+    }
+}
+
 /// Spawns worker `idx`: builds its private cluster around the slot's
 /// persistent health record and runs the loop, reporting the exit to
 /// the supervisor.
 fn spawn_worker(
     idx: usize,
-    shared: &Arc<WorkerShared>,
+    shared: &Arc<Shared>,
     exit_tx: Sender<(usize, WorkerExit)>,
 ) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
@@ -525,22 +543,11 @@ fn spawn_worker(
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Server {
-    front: Front,
-    batcher: JoinHandle<()>,
-    supervisor: JoinHandle<()>,
-    records: Arc<Mutex<Vec<RequestRecord>>>,
-    compiler: Arc<PlanCompiler>,
-    plans: Arc<NetPlans>,
-    max_batch: usize,
+    shared: Arc<Shared>,
+    /// The batcher, then the supervisor: the order shutdown joins them.
+    threads: Vec<JoinHandle<()>>,
     started: Instant,
     next_id: AtomicU64,
-    input_dims: (usize, usize),
-    tele: Telemetry,
-    metrics: ServeTele,
-    monitor: SloMonitor,
-    worker_count: usize,
-    healths: Vec<Arc<ClusterHealth>>,
-    faults: Option<FaultInjector>,
 }
 
 impl Server {
@@ -571,121 +578,78 @@ impl Server {
             "compiler cluster width must match the server's"
         );
         let net = Arc::new(net);
-        let compiler = Arc::new(compiler);
-        let plans = Arc::new(NetPlans::new(Arc::clone(&net), Arc::clone(&compiler)));
-        let records = Arc::new(Mutex::new(Vec::new()));
-        let input_dims = net.input_dims();
         let tele = cfg.telemetry.unwrap_or_else(Telemetry::new_enabled);
         let metrics = ServeTele::resolve(&tele);
-        let monitor = SloMonitor::new(cfg.slos, cfg.flight_capacity);
-        // One shared injector: clones share run counters, so a spec's
-        // timeline is fleet-global and survives worker restarts.
-        // Telemetry must attach before the first clone escapes.
-        let faults = cfg
-            .faults
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| FaultInjector::new(p.clone()).with_telemetry(&tele));
-        let healths: Vec<_> = (0..cfg.workers)
-            .map(|_| Arc::new(ClusterHealth::new(cfg.arrays)))
-            .collect();
         metrics.live_workers.set(cfg.workers as i64);
-
-        // The batch queue is bounded by the worker count so that a slow
-        // pool pushes back through the batcher into the submission queue
-        // (FIFO) or onto the admission estimate (sched). Workers put
-        // transiently-faulted batches *back* via its unbounded
-        // front-of-queue requeue — the operation a plain channel lacks.
-        let queue = Arc::new(BatchQueue::<Vec<Pending>>::new(cfg.workers));
-
-        let policy = cfg.policy;
-        let (front, batcher) = match cfg.sched.clone() {
-            None => {
-                let (submit_tx, submit_rx) =
-                    mpsc::sync_channel::<Pending>(cfg.queue_capacity.max(1));
-                let queue_depth = metrics.queue_depth.clone();
-                let queue = Arc::clone(&queue);
-                let batcher = std::thread::spawn(move || {
-                    while let Some(batch) = collect_batch(&submit_rx, &policy) {
-                        queue_depth.add(-(batch.len() as i64));
-                        if queue.push(batch).is_err() {
-                            break; // the pool is gone
-                        }
-                    }
-                    queue.close();
-                });
-                (Front::Fifo(submit_tx), batcher)
-            }
-            Some(sc) => {
-                let capacity = if sc.capacity > 0 {
-                    sc.capacity
-                } else {
-                    cfg.queue_capacity.max(1)
-                };
-                let registry = TenantRegistry::new(tele.clone());
-                for spec in sc.tenants {
-                    registry.register(spec);
-                }
-                let shared = Arc::new(SchedShared {
-                    queue: ReadyQueue::new(
-                        capacity,
-                        sc.quantum,
-                        sc.aging.as_nanos().min(u64::MAX as u128) as u64,
-                    ),
-                    registry,
-                    admission: AdmissionController::new(cfg.workers, cfg.policy.max_batch),
-                    unit_cycles: OnceLock::new(),
-                });
-                let batcher = {
-                    let shared = Arc::clone(&shared);
-                    let tele = tele.clone();
-                    let metrics = metrics.clone();
-                    let queue = Arc::clone(&queue);
-                    std::thread::spawn(move || {
-                        let now = || tele.since_epoch(Instant::now());
-                        while let Some(drained) = shared.queue.next_batch(&policy, now) {
-                            for mut pending in drained.expired {
-                                metrics.queue_depth.dec();
-                                metrics.expired.inc();
-                                if let Some(meta) = &pending.meta {
-                                    meta.tenant.note_expired();
-                                }
-                                pending.respond(Err(AdmissionError::DeadlinePassed.into()));
-                            }
-                            if drained.batch.is_empty() {
-                                continue;
-                            }
-                            metrics.queue_depth.add(-(drained.batch.len() as i64));
-                            if queue.push(drained.batch).is_err() {
-                                break; // the pool is gone
-                            }
-                        }
-                        queue.close();
-                    })
-                };
-                (Front::Sched(shared), batcher)
-            }
-        };
-
-        let shared = Arc::new(WorkerShared {
-            queue: Arc::clone(&queue),
-            net: Arc::clone(&net),
-            plans: Arc::clone(&plans),
-            records: Arc::clone(&records),
-            tele: tele.clone(),
-            metrics: metrics.clone(),
-            monitor: monitor.clone(),
-            sched: match &front {
-                Front::Sched(s) => Some(Arc::clone(s)),
-                Front::Fifo(_) => None,
-            },
-            healths: healths.clone(),
-            faults: faults.clone(),
+        let sched = cfg.sched.unwrap_or_default();
+        let registry = TenantRegistry::new(tele.clone());
+        for spec in sched.tenants {
+            registry.register(spec);
+        }
+        let shared = Arc::new(Shared {
+            ready: ReadyQueue::new(
+                cfg.queue_capacity,
+                sched.quantum,
+                sched.aging.as_nanos().min(u64::MAX as u128) as u64,
+            ),
+            registry,
+            admission: AdmissionController::new(cfg.workers, cfg.policy.max_batch),
+            unit_cycles: OnceLock::new(),
+            policy: cfg.policy,
+            // Bounded by the worker count so that a slow pool pushes back
+            // through the batcher into the ready queue and onto the
+            // admission estimate. Workers put transiently-faulted batches
+            // *back* via its unbounded front-of-queue requeue — the
+            // operation a plain channel lacks.
+            queue: BatchQueue::new(cfg.workers),
+            plans: NetPlans::new(Arc::clone(&net), Arc::new(compiler)),
+            net,
+            records: Mutex::new(Vec::new()),
+            monitor: SloMonitor::new(cfg.slos, cfg.flight_capacity),
+            healths: (0..cfg.workers)
+                .map(|_| Arc::new(ClusterHealth::new(cfg.arrays)))
+                .collect(),
+            // One shared injector: clones share run counters, so a spec's
+            // timeline is fleet-global and survives worker restarts.
+            // Telemetry must attach before the first clone escapes.
+            faults: cfg
+                .faults
+                .as_ref()
+                .filter(|p| !p.is_empty())
+                .map(|p| FaultInjector::new(p.clone()).with_telemetry(&tele)),
+            tele,
+            metrics,
             recovery: cfg.recovery,
             abft: cfg.abft,
             arrays: cfg.arrays,
             hw: cfg.hw,
         });
+        let batcher = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let metrics = &shared.metrics;
+                let now = || shared.tele.since_epoch(Instant::now());
+                while let Some(drained) = shared.ready.next_batch(&shared.policy, now) {
+                    for mut pending in drained.expired {
+                        metrics.queue_depth.dec();
+                        pending.expire(&metrics.expired);
+                    }
+                    if drained.batch.is_empty() {
+                        continue;
+                    }
+                    metrics.queue_depth.add(-(drained.batch.len() as i64));
+                    if let Err(refused) = shared.queue.push(drained.batch) {
+                        // The pool is gone. Refuse new submits *before*
+                        // the refused batch fails its clients, so none of
+                        // them can be admitted into a queue nobody drains;
+                        // whatever is still queued fails the same way.
+                        shared.ready.close();
+                        drop(refused);
+                    }
+                }
+                shared.queue.close();
+            })
+        };
 
         let (exit_tx, exit_rx) = mpsc::channel::<(usize, WorkerExit)>();
         let mut handles: Vec<Option<JoinHandle<()>>> = (0..cfg.workers)
@@ -720,22 +684,10 @@ impl Server {
         };
 
         Server {
-            front,
-            batcher,
-            supervisor,
-            records,
-            compiler,
-            plans,
-            max_batch: cfg.policy.max_batch.max(1),
+            shared,
+            threads: vec![batcher, supervisor],
             started: Instant::now(),
             next_id: AtomicU64::new(0),
-            input_dims,
-            tele,
-            metrics,
-            monitor,
-            worker_count: cfg.workers,
-            healths,
-            faults,
         }
     }
 
@@ -750,11 +702,18 @@ impl Server {
     /// Fails if any weighted stage has no feasible plan at some batch
     /// size.
     pub fn prewarm(&self) -> Result<Vec<Arc<CompiledPlan>>, ServeError> {
-        (1..=self.max_batch).map(|n| self.plans.get(n)).collect()
+        let shared = &*self.shared;
+        (1..=shared.policy.max_batch.max(1))
+            .map(|n| shared.plans.get(n))
+            .collect()
     }
 
-    fn pending(&self, input: Tensor4<Fix16>) -> Result<(Pending, RequestHandle), ServeError> {
-        let (c, h) = self.input_dims;
+    fn pending(
+        &self,
+        input: Tensor4<Fix16>,
+        tenant: Arc<TenantState>,
+    ) -> Result<(Pending, RequestHandle), ServeError> {
+        let (c, h) = self.shared.net.input_dims();
         if input.dims() != [1, c, h, h] {
             return Err(ServeError::Input(format!(
                 "expected [1, {c}, {h}, {h}], got {:?}",
@@ -762,7 +721,7 @@ impl Server {
             )));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let trace = self.tele.mint_trace();
+        let trace = self.shared.tele.mint_trace();
         let (tx, rx) = mpsc::channel();
         Ok((
             Pending {
@@ -771,8 +730,9 @@ impl Server {
                 submitted: Instant::now(),
                 trace,
                 tx: Some(tx),
-                meta: None,
-                failed: self.metrics.failed.clone(),
+                tenant,
+                deadline_ns: None,
+                failed: self.shared.metrics.failed.clone(),
                 attempts: 0,
             },
             RequestHandle {
@@ -783,164 +743,104 @@ impl Server {
         ))
     }
 
-    /// Feeds one admission decision to the SLO monitor when a shed
-    /// spec is configured (a relaxed load plus a bool check otherwise).
-    fn observe_admission(&self, shed: bool) {
-        if self.monitor.wants_shed() && self.tele.enabled() {
-            self.monitor
-                .observe_shed(self.tele.since_epoch(Instant::now()), shed);
-        }
-    }
-
-    /// Submits one single-image request (`[1][C][H][H]`), blocking while
-    /// the submission queue is full — the backpressure path. On a
-    /// sched-enabled server this is
-    /// [`Server::submit_with`] under default [`SubmitOptions`] (the
-    /// default tenant, no deadline), and admission may reject instead
-    /// of blocking.
+    /// Submits one single-image request (`[1][C][H][H]`) for the
+    /// default tenant with no deadline: [`Server::submit_with`] under
+    /// default [`SubmitOptions`], except that where `submit_with` would
+    /// reject with [`AdmissionError::QueueFull`] this waits for room —
+    /// the backpressure path.
     ///
     /// # Errors
     ///
-    /// Fails on mismatched input dimensions, a shut-down server, or —
-    /// sched only — an [`AdmissionError`].
+    /// Fails on mismatched input dimensions, a shut-down server, or an
+    /// [`AdmissionError`] from the default tenant's admission checks.
     pub fn submit(&self, input: Tensor4<Fix16>) -> Result<RequestHandle, ServeError> {
-        match &self.front {
-            Front::Fifo(tx) => {
-                let (pending, handle) = self.pending(input)?;
-                // Increment before the send: the matching decrement (in
-                // the batcher) can only follow a successful send, so the
-                // gauge never goes negative (counting a blocked submit
-                // as queued).
-                self.metrics.queue_depth.inc();
-                if let Err(e) = tx.send(pending) {
-                    e.0.disarm_for_caller();
-                    self.metrics.queue_depth.dec();
-                    return Err(ServeError::ShutDown);
-                }
-                self.observe_admission(false);
-                Ok(handle)
-            }
-            Front::Sched(shared) => self.submit_sched(shared, input, SubmitOptions::default()),
-        }
+        self.enqueue(input, SubmitOptions::default(), true)
     }
 
-    /// Non-blocking [`Server::submit`]: a full queue returns
-    /// [`ServeError::Saturated`] immediately instead of waiting (load
-    /// shedding for open-loop clients). The scheduling path never
-    /// blocks on a full queue, so on a sched-enabled server this is
-    /// exactly [`Server::submit`] (full-queue rejections surface as
-    /// [`AdmissionError::QueueFull`]).
+    /// Non-blocking [`Server::submit`]: exactly [`Server::submit_with`]
+    /// under default [`SubmitOptions`], so a full queue rejects at once
+    /// with [`AdmissionError::QueueFull`] (load shedding for open-loop
+    /// clients).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Saturated`] when the queue is full, plus every
-    /// [`Server::submit`] failure mode.
+    /// Every [`Server::submit_with`] failure mode.
     pub fn try_submit(&self, input: Tensor4<Fix16>) -> Result<RequestHandle, ServeError> {
-        match &self.front {
-            Front::Fifo(tx) => {
-                let (pending, handle) = self.pending(input)?;
-                self.metrics.queue_depth.inc();
-                match tx.try_send(pending) {
-                    Ok(()) => {
-                        self.observe_admission(false);
-                        Ok(handle)
-                    }
-                    Err(TrySendError::Full(mut p)) => {
-                        p.disarm();
-                        self.metrics.queue_depth.dec();
-                        self.metrics.shed.inc();
-                        self.observe_admission(true);
-                        Err(ServeError::Saturated)
-                    }
-                    Err(TrySendError::Disconnected(mut p)) => {
-                        p.disarm();
-                        self.metrics.queue_depth.dec();
-                        Err(ServeError::ShutDown)
-                    }
-                }
-            }
-            Front::Sched(shared) => self.submit_sched(shared, input, SubmitOptions::default()),
-        }
+        self.submit_with(input, SubmitOptions::default())
     }
 
     /// Submits one request with explicit scheduling options — tenant,
-    /// deadline, priority. On a FIFO server (no [`SchedConfig`]) the
-    /// options are ignored and this is [`Server::submit`].
+    /// deadline, priority — through admission control and a ranked push
+    /// into the ready queue. Never waits on a full queue.
     ///
     /// # Errors
     ///
-    /// Every [`Server::submit`] failure mode plus a typed
-    /// [`ServeError::Admission`] when the scheduling layer rejects:
-    /// unknown tenant, passed or infeasible deadline, over-quota,
-    /// burn-rate shed, or a full queue the request does not outrank.
+    /// Fails on mismatched input dimensions, a shut-down server, or with
+    /// a typed [`ServeError::Admission`] when the scheduling layer
+    /// rejects: unknown tenant, passed or infeasible deadline,
+    /// over-quota, burn-rate shed, or a full queue the request does not
+    /// outrank.
     pub fn submit_with(
         &self,
         input: Tensor4<Fix16>,
         opts: SubmitOptions,
     ) -> Result<RequestHandle, ServeError> {
-        match &self.front {
-            Front::Fifo(_) => self.submit(input),
-            Front::Sched(shared) => self.submit_sched(shared, input, opts),
-        }
+        self.enqueue(input, opts, false)
     }
 
-    /// The scheduling submit path: admission control, then a ranked
-    /// push into the ready queue.
-    fn submit_sched(
+    /// Admission control, then a ranked push into the ready queue that
+    /// waits for room when `wait` is set.
+    fn enqueue(
         &self,
-        shared: &SchedShared,
         input: Tensor4<Fix16>,
         opts: SubmitOptions,
+        wait: bool,
     ) -> Result<RequestHandle, ServeError> {
+        let shared = &*self.shared;
         let Some(tenant) = shared.registry.get(opts.tenant) else {
             return Err(AdmissionError::UnknownTenant(opts.tenant.0).into());
         };
-        let (mut pending, handle) = self.pending(input)?;
+        let (mut pending, handle) = self.pending(input, Arc::clone(&tenant))?;
         tenant.note_submitted();
-        let now_ns = self.tele.since_epoch(pending.submitted);
+        let now_ns = shared.tele.since_epoch(pending.submitted);
         let deadline_ns = opts
             .deadline
             .map(|d| now_ns.saturating_add(d.as_nanos().min(u64::MAX as u128) as u64));
+        pending.deadline_ns = deadline_ns;
         let tier = opts.priority.unwrap_or(tenant.spec().priority).tier();
-        // The batch-1 analytic delay prices the completion estimate;
-        // compiled lazily once (prewarmed servers pay nothing here).
-        let unit_cycles = *shared.unit_cycles.get_or_init(|| {
-            self.plans
-                .get(1)
-                .ok()
-                .map(|p| self.plans.attribution_basis(&p).1)
-        });
-        let backlog = Backlog {
-            queued: self.metrics.queue_depth.get(),
-            inflight: self.metrics.inflight_batches.get(),
-        };
         if let Err(e) = shared.admission.admit(
             &tenant,
             AdmitRequest {
                 tier,
                 deadline_ns,
                 now_ns,
-                unit_cycles,
-                backlog,
-                burning: self.monitor.burning(),
+                // Only a deadline is priced against the estimate.
+                unit_cycles: deadline_ns.and_then(|_| shared.unit_cycles()),
+                backlog: shared.backlog(),
+                burning: shared.monitor.burning(),
             },
         ) {
             pending.disarm();
             tenant.note_rejected(&e);
-            self.metrics.shed.inc();
-            self.observe_admission(true);
+            shared.metrics.shed.inc();
+            shared.observe_admission(true);
             return Err(e.into());
         }
-        pending.meta = Some(ReqMeta {
-            tenant: Arc::clone(&tenant),
-            deadline_ns,
-        });
-        self.metrics.queue_depth.inc();
-        let weight = tenant.spec().weight;
-        match shared.queue.push(
+        // Increment before the push: the matching decrement (in the
+        // batcher) can only follow a successful push, so the gauge never
+        // goes negative (a waiting submit counts as queued).
+        shared.metrics.queue_depth.inc();
+        let push = if wait {
+            ReadyQueue::push_wait
+        } else {
+            ReadyQueue::push
+        };
+        let lane = opts.tenant.index();
+        match push(
+            &shared.ready,
             pending,
-            opts.tenant.index(),
-            weight,
+            lane,
+            tenant.spec().weight,
             tier,
             deadline_ns,
             now_ns,
@@ -949,81 +849,60 @@ impl Server {
             Ok(Pushed::Displaced(mut victim)) => {
                 // The new entry took the victim's slot: net queue depth
                 // is unchanged, the victim is shed.
-                self.metrics.queue_depth.dec();
-                self.metrics.shed.inc();
-                if let Some(meta) = &victim.meta {
-                    meta.tenant.note_shed();
-                }
-                self.observe_admission(true);
+                shared.metrics.queue_depth.dec();
+                shared.metrics.shed.inc();
+                victim.tenant.note_shed();
+                shared.observe_admission(true);
                 victim.respond(Err(AdmissionError::Shed.into()));
             }
             Err(PushError::Full(mut p)) => {
                 p.disarm();
-                self.metrics.queue_depth.dec();
+                shared.metrics.queue_depth.dec();
                 let e = AdmissionError::QueueFull;
                 tenant.note_rejected(&e);
-                self.metrics.shed.inc();
-                self.observe_admission(true);
+                shared.metrics.shed.inc();
+                shared.observe_admission(true);
                 return Err(e.into());
             }
             Err(PushError::Closed(mut p)) => {
                 p.disarm();
-                self.metrics.queue_depth.dec();
+                shared.metrics.queue_depth.dec();
                 return Err(ServeError::ShutDown);
             }
         }
         tenant.note_admitted();
-        self.observe_admission(false);
+        shared.observe_admission(false);
         Ok(handle)
     }
 
-    /// Registers a new tenant on a sched-enabled server, returning its
-    /// id for [`SubmitOptions::tenant`]. Returns `None` on a FIFO
-    /// server (no scheduling layer to register with).
-    pub fn register_tenant(&self, spec: TenantSpec) -> Option<TenantId> {
-        match &self.front {
-            Front::Fifo(_) => None,
-            Front::Sched(shared) => Some(shared.registry.register(spec)),
-        }
+    /// Registers a new tenant, returning its id for
+    /// [`SubmitOptions::tenant`].
+    pub fn register_tenant(&self, spec: TenantSpec) -> TenantId {
+        self.shared.registry.register(spec)
     }
 
-    /// Live per-tenant counters in tenant-id order; empty on a FIFO
-    /// server.
+    /// Live per-tenant counters in tenant-id order, starting with the
+    /// always-present `"default"` tenant.
     pub fn tenants(&self) -> Vec<TenantSnapshot> {
-        match &self.front {
-            Front::Fifo(_) => Vec::new(),
-            Front::Sched(shared) => shared.registry.snapshots(),
-        }
+        self.shared.registry.snapshots()
     }
 
     /// The admission controller's live completion estimate for a
     /// request submitted right now — expected queue wait against the
-    /// current backlog plus one service time. `None` on a FIFO server,
-    /// or before the workers have fed the estimator its first sample.
+    /// current backlog plus one service time. `None` before the workers
+    /// have fed the estimator its first sample.
     pub fn estimated_completion(&self) -> Option<Duration> {
-        let Front::Sched(shared) = &self.front else {
-            return None;
-        };
-        let unit_cycles = *shared.unit_cycles.get_or_init(|| {
-            self.plans
-                .get(1)
-                .ok()
-                .map(|p| self.plans.attribution_basis(&p).1)
-        });
-        let backlog = Backlog {
-            queued: self.metrics.queue_depth.get(),
-            inflight: self.metrics.inflight_batches.get(),
-        };
-        let now_ns = self.tele.since_epoch(Instant::now());
+        let shared = &*self.shared;
+        let now_ns = shared.tele.since_epoch(Instant::now());
         shared
             .admission
-            .estimate_completion_ns(now_ns, unit_cycles, backlog)
+            .estimate_completion_ns(now_ns, shared.unit_cycles(), shared.backlog())
             .map(|est| Duration::from_nanos(est.saturating_sub(now_ns)))
     }
 
     /// Snapshot of the plan-cache counters.
     pub fn cache_stats(&self) -> crate::plan::CacheStats {
-        self.compiler.cache().stats()
+        self.shared.plans.base.cache().stats()
     }
 
     /// A live, point-in-time view of the server — queue depth,
@@ -1033,31 +912,33 @@ impl Server {
     /// configuration (no injected telemetry) the backing instance is
     /// always enabled, so this is never empty once requests complete.
     pub fn snapshot(&self) -> ServerSnapshot {
+        let shared = &*self.shared;
+        let metrics = &shared.metrics;
         ServerSnapshot {
             elapsed: self.started.elapsed(),
-            completed: self.metrics.completed.get(),
-            shed: self.metrics.shed.get(),
-            queue_depth: self.metrics.queue_depth.get(),
-            inflight_batches: self.metrics.inflight_batches.get(),
-            workers: self.worker_count,
-            live_workers: self.metrics.live_workers.get(),
-            worker_restarts: self.metrics.worker_restarts.get(),
-            retries: self.metrics.retries.get(),
-            failed: self.metrics.failed.get(),
-            quarantined_arrays: self
+            completed: metrics.completed.get(),
+            shed: metrics.shed.get(),
+            queue_depth: metrics.queue_depth.get(),
+            inflight_batches: metrics.inflight_batches.get(),
+            workers: shared.healths.len(),
+            live_workers: metrics.live_workers.get(),
+            worker_restarts: metrics.worker_restarts.get(),
+            retries: metrics.retries.get(),
+            failed: metrics.failed.get(),
+            quarantined_arrays: shared
                 .healths
                 .iter()
                 .map(|h| h.quarantined_count() as u64)
                 .sum(),
-            faults_injected: self.faults.as_ref().map_or(0, |f| f.injected()),
-            faults_detected: self.tele.counter("sim.faults_detected").get(),
-            cache: self.compiler.cache().stats(),
-            queue_ns: self.metrics.queue_ns.snapshot(),
-            compile_ns: self.metrics.compile_ns.snapshot(),
-            execute_ns: self.metrics.execute_ns.snapshot(),
-            total_ns: self.metrics.total_ns.snapshot(),
-            batch_size: self.metrics.batch_size.snapshot(),
-            delay_residual: self.metrics.delay_residual.snapshot(),
+            faults_injected: shared.faults.as_ref().map_or(0, |f| f.injected()),
+            faults_detected: shared.tele.counter("sim.faults_detected").get(),
+            cache: self.cache_stats(),
+            queue_ns: metrics.queue_ns.snapshot(),
+            compile_ns: metrics.compile_ns.snapshot(),
+            execute_ns: metrics.execute_ns.snapshot(),
+            total_ns: metrics.total_ns.snapshot(),
+            batch_size: metrics.batch_size.snapshot(),
+            delay_residual: metrics.delay_residual.snapshot(),
             tenants: self.tenants(),
         }
     }
@@ -1067,7 +948,7 @@ impl Server {
     /// server runs, and survive until [`Server::shutdown`] through the
     /// handle's clones.
     pub fn slo_monitor(&self) -> &SloMonitor {
-        &self.monitor
+        &self.shared.monitor
     }
 
     /// The telemetry instance this server records into — spans from the
@@ -1076,46 +957,37 @@ impl Server {
     /// [`eyeriss_telemetry::TelemetrySnapshot::chrome_trace`] yields a
     /// loadable `chrome://tracing` timeline of the serving run.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.tele
+        &self.shared.tele
     }
 
     /// Drains in-flight requests, stops every thread and returns the
     /// lifetime statistics.
-    pub fn shutdown(self) -> ServerStats {
-        let Server {
-            front,
-            batcher,
-            supervisor,
-            records,
-            compiler,
-            started,
-            ..
-        } = self;
-        match front {
-            // Dropping the sender disconnects the channel: the batcher
-            // drains the queue, then exits (closing the batch queue
-            // behind itself).
-            Front::Fifo(submit_tx) => drop(submit_tx),
-            // Closing the ready queue has the same contract: blocked
-            // consumers drain what is queued, then observe shutdown.
-            Front::Sched(shared) => shared.queue.close(),
+    pub fn shutdown(mut self) -> ServerStats {
+        // The batcher drains what is queued, then exits (closing the
+        // batch queue behind itself); the supervisor follows the pool.
+        self.shared.ready.close();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        let _ = batcher.join();
-        let _ = supervisor.join();
-        let records = std::mem::take(&mut *records.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut records = self
+            .shared
+            .records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         ServerStats {
-            records,
-            elapsed: started.elapsed(),
-            cache: compiler.cache().stats(),
+            records: std::mem::take(&mut *records),
+            elapsed: self.started.elapsed(),
+            cache: self.cache_stats(),
         }
     }
 }
 
-impl Pending {
-    /// [`Pending::disarm`] through an `mpsc::SendError` (the error owns
-    /// the value, so the by-value wrapper keeps call sites tidy).
-    fn disarm_for_caller(mut self) {
-        self.disarm();
+impl Drop for Server {
+    /// A server dropped without [`Server::shutdown`] still answers what
+    /// it admitted: closing the ready queue lets its threads drain it
+    /// and exit.
+    fn drop(&mut self) {
+        self.shared.ready.close();
     }
 }
 
@@ -1125,14 +997,15 @@ impl Pending {
 /// last array is quarantined, or a panic kills it.
 fn worker_loop(
     idx: usize,
-    shared: &WorkerShared,
+    shared: &Shared,
     cluster: &Cluster,
     mut pool_chip: Accelerator,
 ) -> WorkerExit {
-    while let Some(batch) = shared.queue.pop() {
-        let Some(batch) = recheck_deadlines(shared, batch) else {
+    while let Some(mut batch) = shared.queue.pop() {
+        recheck_deadlines(shared, &mut batch);
+        if batch.is_empty() {
             continue;
-        };
+        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if shared.faults.as_ref().is_some_and(|f| f.poll_worker(idx)) {
                 panic!("injected worker panic (chaos)");
@@ -1155,41 +1028,30 @@ fn worker_loop(
     WorkerExit::Shutdown
 }
 
-/// Re-checks deadlines at pickup (sched only): the dispatch queue holds
-/// several batches, so a request can outlive its deadline between
-/// dispatch and pickup. Expiring it now bounds a completed request's
-/// latency by its deadline plus one batch execution. Returns the live
-/// remainder, or `None` when nothing survived.
-fn recheck_deadlines(shared: &WorkerShared, batch: Vec<Pending>) -> Option<Vec<Pending>> {
-    if shared.sched.is_none() {
-        return Some(batch);
+/// Re-checks deadlines at pickup: the dispatch queue holds several
+/// batches, so a request can outlive its deadline between dispatch and
+/// pickup. Expiring it now bounds a completed request's latency by its
+/// deadline plus one batch execution. Filters `batch` in place, and
+/// reads no clock when no request in it carries a deadline.
+fn recheck_deadlines(shared: &Shared, batch: &mut Vec<Pending>) {
+    if batch.iter().all(|p| p.deadline_ns.is_none()) {
+        return;
     }
     let now_ns = shared.tele.since_epoch(Instant::now());
-    let mut live = Vec::with_capacity(batch.len());
-    for mut pending in batch {
-        let expired = pending
-            .meta
-            .as_ref()
-            .and_then(|m| m.deadline_ns)
-            .is_some_and(|d| d < now_ns);
+    batch.retain_mut(|pending| {
+        let expired = pending.deadline_ns.is_some_and(|d| d < now_ns);
         if expired {
-            shared.metrics.expired.inc();
-            if let Some(meta) = &pending.meta {
-                meta.tenant.note_expired();
-            }
-            pending.respond(Err(AdmissionError::DeadlinePassed.into()));
-        } else {
-            live.push(pending);
+            pending.expire(&shared.metrics.expired);
         }
-    }
-    (!live.is_empty()).then_some(live)
+        !expired
+    });
 }
 
 /// Executes one batch end to end and delivers the responses. A typed
 /// execution error hands the batch back to the caller for retry /
 /// quarantine handling instead of consuming it.
 fn execute_batch(
-    shared: &WorkerShared,
+    shared: &Shared,
     cluster: &Cluster,
     pool_chip: &mut Accelerator,
     batch: Vec<Pending>,
@@ -1236,13 +1098,10 @@ fn execute_batch(
             // Calibrate the admission estimator: one sample per
             // executed batch, its plan's analytic delay against the
             // measured execute wall time.
-            if let Some(sched) = &shared.sched {
-                if let (Some(first), Ok(plan)) = (done.first(), shared.plans.get(batch.len())) {
-                    let execute_ns =
-                        first.0.latency.execute.as_nanos().min(u64::MAX as u128) as u64;
-                    let cycles = shared.plans.attribution_basis(&plan).1;
-                    sched.admission.estimator().observe(cycles, execute_ns);
-                }
+            if let (Some(first), Ok(plan)) = (done.first(), shared.plans.get(batch.len())) {
+                let execute_ns = first.0.latency.execute.as_nanos().min(u64::MAX as u128) as u64;
+                let cycles = shared.plans.attribution_basis(&plan).1;
+                shared.admission.estimator().observe(cycles, execute_ns);
             }
             let wants_records = !shared.monitor.is_empty();
             let mut recs = shared
@@ -1250,9 +1109,7 @@ fn execute_batch(
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             for (mut pending, response) in batch.into_iter().zip(done) {
-                if let Some(meta) = &pending.meta {
-                    meta.tenant.note_completed();
-                }
+                pending.tenant.note_completed();
                 let latency = response.0.latency;
                 metrics.queue_ns.record_duration(latency.queue);
                 metrics.compile_ns.record_duration(latency.compile);
@@ -1289,7 +1146,7 @@ fn execute_batch(
 /// budget is spent. Returns `Some(exit)` when the worker must leave
 /// the pool.
 fn handle_failure(
-    shared: &WorkerShared,
+    shared: &Shared,
     cluster: &Cluster,
     mut batch: Vec<Pending>,
     err: ServeError,
@@ -1318,10 +1175,8 @@ fn handle_failure(
             // first try.
             shared.queue.requeue(batch);
             shared.metrics.live_workers.dec();
-            if let Some(sched) = &shared.sched {
-                let live = shared.metrics.live_workers.get().max(1) as usize;
-                sched.admission.set_workers(live);
-            }
+            let live = shared.metrics.live_workers.get().max(1) as usize;
+            shared.admission.set_workers(live);
             return Some(WorkerExit::Retired);
         }
     }
@@ -1473,13 +1328,7 @@ mod tests {
                 rf_bytes_per_pe: 512.0,
                 buffer_bytes: 32.0 * 1024.0,
             },
-            telemetry: None,
-            slos: Vec::new(),
-            flight_capacity: 256,
-            sched: None,
-            faults: None,
-            abft: false,
-            recovery: RecoveryPolicy::new(),
+            ..ServeConfig::new()
         }
     }
 
@@ -1503,6 +1352,16 @@ mod tests {
             assert!(response.batch_size >= 1);
             assert!(response.latency.total() >= response.latency.execute);
         }
+        let snap = server.snapshot();
+        assert_eq!(snap.completed, 6);
+        assert_eq!(snap.queue_depth, 0, "ready queue drained");
+        // Plain submits land on the always-present default tenant.
+        assert_eq!(snap.tenants.len(), 1);
+        let t = &snap.tenants[0];
+        assert_eq!(t.name, "default");
+        assert_eq!((t.submitted, t.admitted, t.completed), (6, 6, 6));
+        assert_eq!((t.rejected, t.shed, t.expired), (0, 0, 0));
+        assert_eq!(t.failed, 0);
         let stats = server.shutdown();
         assert_eq!(stats.completed(), 6);
         assert!(stats.p99() >= stats.p50());
@@ -1584,6 +1443,11 @@ mod tests {
         for handle in handles {
             assert!(handle.wait().is_ok());
         }
+        // A server dropped without `shutdown` answers what it admitted.
+        let server = Server::start(tiny_net(), small_cfg());
+        let handle = server.submit(synth::ifmap(&shape, 1, 9)).unwrap();
+        drop(server);
+        assert!(handle.wait().is_ok());
     }
 
     #[test]
@@ -1698,6 +1562,98 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn sched_server_routes_tenants_and_calibrates() {
+        let net = tiny_net();
+        let shape = net.stages()[0].shape;
+        let cfg = ServeConfig {
+            sched: Some(
+                SchedConfig::new()
+                    .tenant(TenantSpec::new("interactive").weight(3.0))
+                    .tenant(TenantSpec::new("batch").priority(Priority::Low)),
+            ),
+            ..small_cfg()
+        };
+        let server = Server::start(net, cfg);
+        server.prewarm().unwrap();
+        let interactive = TenantId(1);
+        let batch = TenantId(2);
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let opts = SubmitOptions::tenant(if i % 2 == 0 { interactive } else { batch });
+                server
+                    .submit_with(synth::ifmap(&shape, 1, i as u64), opts)
+                    .unwrap()
+            })
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+        let tenants = server.tenants();
+        assert_eq!(tenants.len(), 3);
+        assert_eq!(tenants[interactive.index()].completed, 2);
+        assert_eq!(tenants[batch.index()].completed, 2);
+        // Workers fed the estimator, so completion estimates are live.
+        let estimator = server.shared.admission.estimator();
+        assert!(estimator.samples() > 0);
+        assert!(estimator.ns_per_cycle().unwrap() > 0.0);
+        // An unknown tenant is rejected with a typed error.
+        let err = server
+            .submit_with(
+                synth::ifmap(&shape, 1, 9),
+                SubmitOptions::tenant(TenantId(77)),
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Admission(AdmissionError::UnknownTenant(77))
+        ));
+        // Registering it live makes the same id usable.
+        let late = server.register_tenant(TenantSpec::new("late"));
+        assert_eq!(late, TenantId(3));
+        server
+            .submit_with(synth::ifmap(&shape, 1, 9), SubmitOptions::tenant(late))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(server.tenants()[late.index()].completed, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn sched_server_rejects_passed_deadlines_and_expires_queued_work() {
+        let net = tiny_net();
+        let shape = net.stages()[0].shape;
+        let server = Server::start(net, small_cfg());
+        // A zero deadline has always already passed at admission.
+        let err = server
+            .submit_with(
+                synth::ifmap(&shape, 1, 1),
+                SubmitOptions::default().deadline(Duration::ZERO),
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Admission(AdmissionError::DeadlinePassed)
+        ));
+        let snap = server.snapshot();
+        assert_eq!(snap.tenants[0].rejected, 1);
+        assert_eq!(snap.completed, 0);
+        // A generous deadline admits and completes.
+        server
+            .submit_with(
+                synth::ifmap(&shape, 1, 2),
+                SubmitOptions::default().deadline(Duration::from_secs(60)),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        let stats = server.shutdown();
+        assert_eq!(stats.completed(), 1);
+    }
+
+    /// The explicit preset the benchmark sets; it must serve exactly as
+    /// the unset (`None`) default does.
     fn sched_cfg() -> ServeConfig {
         ServeConfig {
             sched: Some(SchedConfig::new()),
@@ -1738,98 +1694,6 @@ mod tests {
         assert_eq!(t.failed, 0);
         let stats = server.shutdown();
         assert_eq!(stats.completed(), 6);
-    }
-
-    #[test]
-    fn sched_server_routes_tenants_and_calibrates() {
-        let net = tiny_net();
-        let shape = net.stages()[0].shape;
-        let cfg = ServeConfig {
-            sched: Some(
-                SchedConfig::new()
-                    .tenant(TenantSpec::new("interactive").weight(3.0))
-                    .tenant(TenantSpec::new("batch").priority(Priority::Low)),
-            ),
-            ..small_cfg()
-        };
-        let server = Server::start(net, cfg);
-        server.prewarm().unwrap();
-        let interactive = TenantId(1);
-        let batch = TenantId(2);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let opts = SubmitOptions::tenant(if i % 2 == 0 { interactive } else { batch });
-                server
-                    .submit_with(synth::ifmap(&shape, 1, i as u64), opts)
-                    .unwrap()
-            })
-            .collect();
-        for handle in handles {
-            handle.wait().unwrap();
-        }
-        let tenants = server.tenants();
-        assert_eq!(tenants.len(), 3);
-        assert_eq!(tenants[interactive.index()].completed, 2);
-        assert_eq!(tenants[batch.index()].completed, 2);
-        // Workers fed the estimator, so completion estimates are live.
-        let Front::Sched(shared) = &server.front else {
-            panic!("sched config must build the sched front")
-        };
-        assert!(shared.admission.estimator().samples() > 0);
-        assert!(shared.admission.estimator().ns_per_cycle().unwrap() > 0.0);
-        // An unknown tenant is rejected with a typed error.
-        let err = server
-            .submit_with(
-                synth::ifmap(&shape, 1, 9),
-                SubmitOptions::tenant(TenantId(77)),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Admission(AdmissionError::UnknownTenant(77))
-        ));
-        // Registering it live makes the same id usable.
-        let late = server.register_tenant(TenantSpec::new("late")).unwrap();
-        assert_eq!(late, TenantId(3));
-        server
-            .submit_with(synth::ifmap(&shape, 1, 9), SubmitOptions::tenant(late))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(server.tenants()[late.index()].completed, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn sched_server_rejects_passed_deadlines_and_expires_queued_work() {
-        let net = tiny_net();
-        let shape = net.stages()[0].shape;
-        let server = Server::start(net, sched_cfg());
-        // A zero deadline has always already passed at admission.
-        let err = server
-            .submit_with(
-                synth::ifmap(&shape, 1, 1),
-                SubmitOptions::default().deadline(Duration::ZERO),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Admission(AdmissionError::DeadlinePassed)
-        ));
-        let snap = server.snapshot();
-        assert_eq!(snap.tenants[0].rejected, 1);
-        assert_eq!(snap.completed, 0);
-        // A generous deadline admits and completes.
-        server
-            .submit_with(
-                synth::ifmap(&shape, 1, 2),
-                SubmitOptions::default().deadline(Duration::from_secs(60)),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 1);
     }
 
     #[test]

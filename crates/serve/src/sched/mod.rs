@@ -1,8 +1,7 @@
 //! `serve::sched` — SLO-aware multi-tenant admission control and
 //! deadline scheduling.
 //!
-//! The scheduling layer between submission and execution: instead of
-//! admitting blindly into the raw MPSC FIFO, a sched-enabled
+//! The scheduling layer between submission and execution. Every
 //! [`Server`](crate::Server) routes every request through
 //!
 //! * a [`tenant::TenantRegistry`] — per-tenant weight, priority tier
@@ -22,8 +21,11 @@
 //!
 //! Configure it with [`SchedConfig`] on
 //! [`ServeConfig::sched`](crate::ServeConfig) (or
-//! `ServeOptions::sched` through the engine). Servers without a
-//! `SchedConfig` keep the legacy FIFO path bit-for-bit.
+//! `ServeOptions::sched` through the engine). Without one a server runs
+//! [`SchedConfig::default`]: a plain submit lands on the always-present
+//! `"default"` tenant with no deadline, so requests dispatch in FIFO
+//! order, and a full queue makes [`Server::submit`](crate::Server::submit)
+//! wait for room.
 
 pub mod admission;
 pub mod queue;
@@ -37,8 +39,10 @@ pub use tenant::{
 
 use std::time::Duration;
 
-/// Configuration of the scheduling layer (present on
-/// [`ServeConfig::sched`](crate::ServeConfig) = scheduling on).
+/// Configuration of the scheduling layer
+/// ([`ServeConfig::sched`](crate::ServeConfig); `None` there means
+/// [`SchedConfig::default`]). The ready queue holds
+/// [`ServeConfig::queue_capacity`](crate::ServeConfig) entries.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
     /// Tenants to register at startup, ids assigned in order starting
@@ -50,20 +54,15 @@ pub struct SchedConfig {
     /// Aging interval: queued work is promoted one priority tier per
     /// `aging` waited ([`Duration::ZERO`] disables promotion).
     pub aging: Duration,
-    /// Ready-queue capacity; 0 means "use
-    /// [`ServeConfig::queue_capacity`](crate::ServeConfig)".
-    pub capacity: usize,
 }
 
 impl SchedConfig {
-    /// Defaults: no extra tenants, quantum 1, 50 ms aging, queue
-    /// capacity inherited from the server.
+    /// Defaults: no extra tenants, quantum 1, 50 ms aging.
     pub fn new() -> SchedConfig {
         SchedConfig {
             tenants: Vec::new(),
             quantum: 1.0,
             aging: Duration::from_millis(50),
-            capacity: 0,
         }
     }
 

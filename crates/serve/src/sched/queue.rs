@@ -18,18 +18,19 @@
 //!
 //! A full queue sheds by rank, not arrival: an incoming entry that
 //! outranks (strictly lower effective tier than) the worst queued entry
-//! evicts it; otherwise the incoming entry is rejected. Entries whose
-//! deadline passes while queued are drained as `expired` at dispatch —
-//! they cost a queue slot while waiting but never reach an array.
+//! evicts it; otherwise [`ReadyQueue::push`] rejects the incoming entry
+//! and [`ReadyQueue::push_wait`] waits for room (backpressure). Entries
+//! whose deadline passes while queued are drained as `expired` at
+//! dispatch — they cost a queue slot while waiting but never reach an
+//! array.
 //!
 //! All mutation takes an explicit `now_ns` stamp (the telemetry epoch
 //! timeline), so ordering, aging and expiry are deterministic in tests;
 //! only the blocking [`ReadyQueue::next_batch`] touches the wall clock,
-//! and only for its batch-formation timeout — mirroring
-//! [`collect_batch`](crate::batch::collect_batch)'s semantics.
+//! and only for its [`BatchPolicy::max_wait`] timeout.
 
 use crate::batch::BatchPolicy;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One queued entry.
@@ -43,6 +44,17 @@ struct Entry<T> {
 }
 
 impl<T> Entry<T> {
+    /// An entry stamped `now_ns`; its `seq` is assigned on enqueue.
+    fn new(item: T, tier: u8, deadline_ns: Option<u64>, now_ns: u64) -> Entry<T> {
+        Entry {
+            item,
+            tier,
+            deadline_ns,
+            enqueued_ns: now_ns,
+            seq: 0,
+        }
+    }
+
     /// Effective tier after aging: one level of promotion per
     /// `aging_ns` spent waiting (aging_ns = 0 disables promotion).
     fn eff_tier(&self, now_ns: u64, aging_ns: u64) -> u8 {
@@ -91,6 +103,9 @@ struct Inner<T> {
     seq: u64,
     cursor: usize,
     closed: bool,
+    /// Producers parked in [`ReadyQueue::push_wait`]; pops signal
+    /// `space` only when there is one.
+    waiting: usize,
 }
 
 /// Outcome of a successful [`ReadyQueue::push`].
@@ -131,11 +146,17 @@ pub struct Drained<T> {
 }
 
 /// The multi-tenant ready queue (see the module docs for the dispatch
-/// discipline).
+/// discipline). Its lock recovers from poisoning: every update leaves
+/// the lanes and counters consistent before anything that can panic.
 #[derive(Debug)]
 pub struct ReadyQueue<T> {
     inner: Mutex<Inner<T>>,
+    /// Signalled when an entry arrives or the queue closes (wakes
+    /// [`ReadyQueue::next_batch`]).
     available: Condvar,
+    /// Signalled when entries leave or the queue closes (wakes
+    /// [`ReadyQueue::push_wait`]).
+    space: Condvar,
     capacity: usize,
     quantum: f64,
     aging_ns: u64,
@@ -153,17 +174,23 @@ impl<T> ReadyQueue<T> {
                 seq: 0,
                 cursor: 0,
                 closed: false,
+                waiting: 0,
             }),
             available: Condvar::new(),
+            space: Condvar::new(),
             capacity: capacity.max(1),
             quantum: quantum.max(1e-6),
             aging_ns,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queued entries right now.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("ready queue poisoned").len
+        self.lock().len
     }
 
     /// True when nothing is queued.
@@ -188,34 +215,70 @@ impl<T> ReadyQueue<T> {
         deadline_ns: Option<u64>,
         now_ns: u64,
     ) -> Result<Pushed<T>, PushError<T>> {
-        let mut inner = self.inner.lock().expect("ready queue poisoned");
-        if inner.closed {
-            return Err(PushError::Closed(item));
-        }
+        let entry = Entry::new(item, tier, deadline_ns, now_ns);
+        self.enqueue(entry, lane, weight, false)
+    }
+
+    /// [`ReadyQueue::push`], except that where `push` would bounce with
+    /// [`PushError::Full`] this blocks until a pop makes room —
+    /// backpressure.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Closed`], returning the item, when the queue is or
+    /// becomes closed while waiting.
+    pub fn push_wait(
+        &self,
+        item: T,
+        lane: usize,
+        weight: f64,
+        tier: u8,
+        deadline_ns: Option<u64>,
+        now_ns: u64,
+    ) -> Result<Pushed<T>, PushError<T>> {
+        let entry = Entry::new(item, tier, deadline_ns, now_ns);
+        self.enqueue(entry, lane, weight, true)
+    }
+
+    fn enqueue(
+        &self,
+        mut entry: Entry<T>,
+        lane: usize,
+        weight: f64,
+        wait: bool,
+    ) -> Result<Pushed<T>, PushError<T>> {
+        let mut inner = self.lock();
+        let displaced = loop {
+            if inner.closed {
+                return Err(PushError::Closed(entry.item));
+            }
+            if inner.len < self.capacity {
+                break None;
+            }
+            match self.worst_locked(&inner, entry.enqueued_ns) {
+                Some((victim_lane, pos, victim_tier)) if entry.tier < victim_tier => {
+                    let victim = inner.lanes[victim_lane].entries.swap_remove(pos);
+                    inner.len -= 1;
+                    break Some(victim.item);
+                }
+                _ if wait => {
+                    inner.waiting += 1;
+                    inner = self
+                        .space
+                        .wait(inner)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    inner.waiting -= 1;
+                }
+                _ => return Err(PushError::Full(entry.item)),
+            }
+        };
         if inner.lanes.len() <= lane {
             inner.lanes.resize_with(lane + 1, Lane::default);
         }
         inner.lanes[lane].weight = weight.max(1e-3);
-        let mut displaced = None;
-        if inner.len >= self.capacity {
-            match self.worst_locked(&inner, now_ns) {
-                Some((victim_lane, pos, victim_tier)) if tier < victim_tier => {
-                    let entry = inner.lanes[victim_lane].entries.swap_remove(pos);
-                    inner.len -= 1;
-                    displaced = Some(entry.item);
-                }
-                _ => return Err(PushError::Full(item)),
-            }
-        }
-        let seq = inner.seq;
+        entry.seq = inner.seq;
         inner.seq += 1;
-        inner.lanes[lane].entries.push(Entry {
-            item,
-            tier,
-            deadline_ns,
-            enqueued_ns: now_ns,
-            seq,
-        });
+        inner.lanes[lane].entries.push(entry);
         inner.len += 1;
         self.available.notify_one();
         Ok(match displaced {
@@ -244,8 +307,12 @@ impl<T> ReadyQueue<T> {
     /// Dispatches one entry per the tier → DRR → EDF discipline.
     /// Non-blocking; `None` when empty.
     pub fn pop(&self, now_ns: u64) -> Option<(T, Popped)> {
-        let mut inner = self.inner.lock().expect("ready queue poisoned");
-        self.pop_locked(&mut inner, now_ns)
+        let mut inner = self.lock();
+        let popped = self.pop_locked(&mut inner, now_ns);
+        if popped.is_some() && inner.waiting > 0 {
+            self.space.notify_one();
+        }
+        popped
     }
 
     fn pop_locked(&self, inner: &mut Inner<T>, now_ns: u64) -> Option<(T, Popped)> {
@@ -319,31 +386,39 @@ impl<T> ReadyQueue<T> {
     }
 
     /// Blocks for the next batch under `policy`, stamping pops with
-    /// `now()` (epoch nanoseconds). Mirrors
-    /// [`collect_batch`](crate::batch::collect_batch): waits for the
-    /// first entry, then drains until the batch is full or `max_wait`
-    /// elapses. Entries that expired in queue are split out and do not
+    /// `now()` (epoch nanoseconds): waits for the first entry, then
+    /// drains until the batch is full, `max_wait` elapses or the queue
+    /// closes. Entries that expired in queue are split out and do not
     /// count toward the batch. Returns `None` once closed *and* empty.
     pub fn next_batch(&self, policy: &BatchPolicy, now: impl Fn() -> u64) -> Option<Drained<T>> {
         let max_batch = policy.max_batch.max(1);
-        let mut inner = self.inner.lock().expect("ready queue poisoned");
+        let mut inner = self.lock();
         loop {
             while inner.len == 0 {
                 if inner.closed {
                     return None;
                 }
-                inner = self.available.wait(inner).expect("ready queue poisoned");
+                inner = self
+                    .available
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             let deadline = Instant::now() + policy.max_wait;
             let mut batch = Vec::new();
             let mut expired = Vec::new();
             loop {
+                let taken = batch.len() + expired.len();
                 while batch.len() < max_batch {
                     match self.pop_locked(&mut inner, now()) {
                         Some((item, info)) if info.expired => expired.push(item),
                         Some((item, _)) => batch.push(item),
                         None => break,
                     }
+                }
+                if inner.waiting > 0 && batch.len() + expired.len() > taken {
+                    // Room now, not when the batch closes: a producer
+                    // blocked on a full queue may be the batch's company.
+                    self.space.notify_all();
                 }
                 if batch.len() >= max_batch || inner.closed {
                     break;
@@ -355,7 +430,7 @@ impl<T> ReadyQueue<T> {
                 let (guard, timeout) = self
                     .available
                     .wait_timeout(inner, remaining)
-                    .expect("ready queue poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
                 if timeout.timed_out() && inner.len == 0 {
                     break;
@@ -368,17 +443,21 @@ impl<T> ReadyQueue<T> {
         }
     }
 
-    /// Closes the queue: further pushes fail, blocked consumers drain
-    /// what is queued and then observe shutdown.
+    /// Closes the queue: further pushes fail (blocked ones included),
+    /// blocked consumers drain what is queued and then observe
+    /// shutdown. Idempotent.
     pub fn close(&self) {
-        self.inner.lock().expect("ready queue poisoned").closed = true;
+        self.lock().closed = true;
         self.available.notify_all();
+        self.space.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
     use std::time::Duration;
 
     fn queue(capacity: usize) -> ReadyQueue<u64> {
@@ -499,5 +578,46 @@ mod tests {
         let mut seen = consumer.join().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..6).collect::<Vec<_>>(), "close drains the queue");
+    }
+
+    /// Spawns `push_wait(item)` and returns once it is parked on the
+    /// full queue (no sleep: the queue counts its waiting producers).
+    fn blocked_push(
+        q: &Arc<ReadyQueue<u64>>,
+        item: u64,
+    ) -> JoinHandle<Result<Pushed<u64>, PushError<u64>>> {
+        let producer = {
+            let q = Arc::clone(q);
+            std::thread::spawn(move || q.push_wait(item, 0, 1.0, 1, None, 0))
+        };
+        while q.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+        producer
+    }
+
+    #[test]
+    fn full_queue_backpressure_blocks_push_wait_until_a_pop_or_close() {
+        let q = Arc::new(queue(2));
+        q.push(1, 0, 1.0, 1, None, 0).unwrap();
+        q.push(2, 0, 1.0, 1, None, 0).unwrap();
+        // The non-blocking push of an equal-tier entry still bounces.
+        assert_eq!(q.push(3, 0, 1.0, 1, None, 0), Err(PushError::Full(3)));
+
+        let producer = blocked_push(&q, 3);
+        assert!(!producer.is_finished(), "a full queue holds the push");
+        assert_eq!(q.pop(0).map(|(i, _)| i), Some(1));
+        assert_eq!(
+            producer.join().unwrap(),
+            Ok(Pushed::Queued),
+            "one pop frees it"
+        );
+        assert_eq!(q.len(), 2);
+
+        let producer = blocked_push(&q, 4);
+        q.close();
+        assert_eq!(producer.join().unwrap(), Err(PushError::Closed(4)));
+        let drained: Vec<u64> = std::iter::from_fn(|| q.pop(0).map(|(i, _)| i)).collect();
+        assert_eq!(drained, vec![2, 3], "close keeps what was queued");
     }
 }

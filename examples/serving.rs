@@ -20,8 +20,8 @@
 //! Run with: `cargo run --release --example serving [--smoke]`
 //! (`--smoke` skips the heavier sweeps for CI). `--tenants` instead
 //! runs the multi-tenant scheduling demo: admission control under 2×
-//! overload versus the legacy FIFO, and weighted fair sharing between
-//! two tenants flooding one worker. `--chaos` runs the seeded
+//! overload versus the same server with no deadlines, and weighted fair
+//! sharing between two tenants flooding one worker. `--chaos` runs the seeded
 //! fault-injection experiment: transient psum flips retried to
 //! bit-exact outputs under ABFT, a persistent array crash quarantined,
 //! and degraded-pool throughput measured against the healthy baseline.
@@ -33,7 +33,7 @@ use eyeriss::serve::SloSpec;
 use std::time::Duration;
 
 /// The `--tenants` mode: two weighted tenants under overload. Prints
-/// the admission-vs-FIFO overload table and the DRR fairness table,
+/// the overload table (deadlines vs none) and the DRR fairness table,
 /// asserting the acceptance criteria in release mode (CI uploads the
 /// output as an artifact).
 fn tenants_demo() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn tenants_demo() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(
         overload.fifo_p99_grows(1.3),
-        "FIFO p99 should grow unboundedly with the backlog"
+        "without deadlines p99 should grow unboundedly with the backlog"
     );
 
     let fairness = serving::fairness_drr(60, 60);

@@ -2,8 +2,8 @@
 //! panics leave the server completing subsequent requests with the loss
 //! typed (never a hang), transient faults retry to bit-exact outputs
 //! under arbitrary seeded schedules, quarantine never drops an
-//! in-flight request, and the legacy FIFO (non-sched) path survives the
-//! same injections as the scheduling path.
+//! in-flight request, and losing the whole pool fails clients typed
+//! instead of hanging them.
 
 use eyeriss::nn::network::NetworkBuilder;
 use eyeriss::prelude::*;
@@ -44,10 +44,13 @@ fn fault_cfg(workers: usize, arrays: usize, faults: FaultPlan) -> ServeConfig {
     }
 }
 
-/// An injected worker panic on the FIFO path types the lost request as
-/// [`ServeError::WorkerLost`] — the client returns immediately, never
-/// hangs — and the supervisor restarts the slot, so every subsequent
-/// request on the *same* server completes bit-exactly.
+/// With the default configuration (no `sched` set: one default tenant
+/// served in FIFO order), an injected worker panic types the lost
+/// request as [`ServeError::WorkerLost`] — the client returns
+/// immediately, never hangs — and the tenant's books balance (`failed`
+/// absorbs the admitted request; `submitted` counts never leak). The
+/// supervisor restarts the slot, so every subsequent request on the
+/// *same* server completes bit-exactly.
 #[test]
 fn fifo_worker_panic_is_typed_and_the_pool_self_heals() {
     let net = tiny_net();
@@ -58,6 +61,9 @@ fn fifo_worker_panic_is_typed_and_the_pool_self_heals() {
 
     let lost = server.submit(synth::ifmap(&shape, 1, 1)).unwrap().wait();
     assert!(matches!(lost, Err(ServeError::WorkerLost)), "{lost:?}");
+    let t = &server.tenants()[0];
+    assert_eq!((t.submitted, t.admitted), (1, 1));
+    assert_eq!((t.failed, t.completed), (1, 0), "the loss is attributed");
 
     for i in 2..6u64 {
         let input = synth::ifmap(&shape, 1, i);
@@ -68,6 +74,11 @@ fn fifo_worker_panic_is_typed_and_the_pool_self_heals() {
             "post-restart request {i} diverged"
         );
     }
+    let t = &server.tenants()[0];
+    assert_eq!(
+        (t.submitted, t.admitted, t.completed, t.failed),
+        (5, 5, 4, 1)
+    );
     let snap = server.snapshot();
     assert_eq!(snap.worker_restarts, 1);
     assert_eq!(snap.failed, 1);
@@ -76,10 +87,9 @@ fn fifo_worker_panic_is_typed_and_the_pool_self_heals() {
     server.shutdown();
 }
 
-/// The same injection through the scheduling path: the loss is typed,
-/// the tenant's books balance (`failed` absorbs the admitted request —
-/// `submitted` counts never leak), and the restarted pool completes the
-/// tenant's next request.
+/// The same injection with an explicit [`SchedConfig::new()`], the
+/// preset the benchmark sets: the loss is typed, the tenant's books
+/// balance, and the restarted pool completes the tenant's next request.
 #[test]
 fn sched_worker_panic_marks_the_tenant_request_failed() {
     let net = tiny_net();
@@ -105,6 +115,30 @@ fn sched_worker_panic_marks_the_tenant_request_failed() {
         (2, 2, 1, 1)
     );
     assert_eq!(server.snapshot().worker_restarts, 1);
+    server.shutdown();
+}
+
+/// When every worker retires, the server stops admitting: requests
+/// already in flight or queued fail with [`ServeError::WorkerLost`], and
+/// a later submit is refused at once with [`ServeError::ShutDown`]
+/// instead of queueing for a pool that no longer exists.
+#[test]
+fn losing_the_whole_pool_refuses_later_submits() {
+    let net = tiny_net();
+    let shape = net.stages()[0].shape;
+    // The only array crashes on every run: two strikes quarantine it and
+    // its worker, the whole pool, retires.
+    let plan = FaultPlan::new(5).spec(FaultSpec::from(FaultKind::Crash, 0).target(0));
+    let server = Server::start(net, fault_cfg(1, 1, plan));
+
+    let a = server.submit(synth::ifmap(&shape, 1, 1)).unwrap().wait();
+    assert!(matches!(a, Err(ServeError::WorkerLost)), "A: {a:?}");
+    let b = server.submit(synth::ifmap(&shape, 1, 2)).unwrap().wait();
+    assert!(matches!(b, Err(ServeError::WorkerLost)), "B: {b:?}");
+    let c = server.submit(synth::ifmap(&shape, 1, 3));
+    assert!(matches!(c, Err(ServeError::ShutDown)), "C: {c:?}");
+    let snap = server.snapshot();
+    assert_eq!((snap.live_workers, snap.quarantined_arrays), (0, 1));
     server.shutdown();
 }
 
@@ -185,7 +219,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Chaos property: under ANY schedule of one-shot psum flips,
-    /// crashes and stalls (any seed, any timing), an ABFT-enabled FIFO
+    /// crashes and stalls (any seed, any timing), an ABFT-enabled
     /// server completes every request bit-exactly. At most three
     /// strikes can hit one batch and the retry budget is three, so
     /// nothing ever exhausts; ABFT's checksum catches every single

@@ -10,7 +10,7 @@ use eyeriss::prelude::*;
 use eyeriss::serve::sched::{AdmissionController, AdmitRequest, Backlog, ReadyQueue};
 use eyeriss::serve::{
     AdmissionError, BatchPolicy, Priority, RateLimit, RecoveryPolicy, SchedConfig, ServeConfig,
-    ServeError, Server, SubmitOptions, TenantSpec,
+    ServeError, Server, SubmitOptions, TenantId, TenantSpec,
 };
 use eyeriss::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -274,11 +274,11 @@ fn rate_limited_tenant_is_rejected_end_to_end() {
     server.shutdown();
 }
 
-/// Submit options are inert on a FIFO server: unknown tenants and
-/// deadlines are ignored rather than rejected, preserving the legacy
-/// path bit-for-bit.
+/// A server configured with no `SchedConfig` still runs the scheduling
+/// layer: it lists the default tenant, registers new ones, and applies
+/// admission to every submit.
 #[test]
-fn fifo_server_ignores_submit_options() {
+fn default_server_schedules_tenants_and_admits() {
     let net = NetworkBuilder::new(3, 19)
         .conv("C1", 8, 3, 2)
         .unwrap()
@@ -287,16 +287,37 @@ fn fifo_server_ignores_submit_options() {
         .build(7);
     let shape = net.stages()[0].shape;
     let server = Server::start(net, ServeConfig::new());
-    assert!(server.register_tenant(TenantSpec::new("ghost")).is_none());
-    assert!(server.tenants().is_empty());
-    let opts = SubmitOptions::tenant(eyeriss::serve::TenantId(42))
-        .deadline(Duration::ZERO)
-        .priority(Priority::Low);
-    let response = server
-        .submit_with(synth::ifmap(&shape, 1, 3), opts)
-        .expect("FIFO path has no admission control")
+    let names: Vec<String> = server.tenants().into_iter().map(|t| t.name).collect();
+    assert_eq!(names, ["default"]);
+    let guest = server.register_tenant(TenantSpec::new("guest"));
+    assert_eq!(guest, TenantId(1));
+    let late = server.submit_with(
+        synth::ifmap(&shape, 1, 3),
+        SubmitOptions::default().deadline(Duration::ZERO),
+    );
+    assert!(
+        matches!(
+            late,
+            Err(ServeError::Admission(AdmissionError::DeadlinePassed))
+        ),
+        "{late:?}"
+    );
+    let stranger = server.submit_with(
+        synth::ifmap(&shape, 1, 3),
+        SubmitOptions::tenant(TenantId(42)).priority(Priority::Low),
+    );
+    assert!(
+        matches!(
+            stranger,
+            Err(ServeError::Admission(AdmissionError::UnknownTenant(42)))
+        ),
+        "{stranger:?}"
+    );
+    server
+        .submit_with(synth::ifmap(&shape, 1, 3), SubmitOptions::tenant(guest))
+        .unwrap()
         .wait()
-        .expect("completes despite the zero deadline");
-    assert_eq!(response.batch_size, 1);
+        .unwrap();
+    assert_eq!(server.tenants()[guest.index()].completed, 1);
     server.shutdown();
 }
