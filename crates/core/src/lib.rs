@@ -100,7 +100,7 @@ pub use error::{BuildError, EngineError};
 
 // The façade's shared vocabulary, re-exported at the crate root.
 pub use eyeriss_dataflow::search::Objective;
-pub use eyeriss_dataflow::{Dataflow, DataflowId, DataflowKind, DataflowRegistry};
+pub use eyeriss_dataflow::{CandidateSink, Dataflow, DataflowId, DataflowKind, DataflowRegistry};
 pub use eyeriss_nn::{LayerProblem, Workload};
 
 /// # Migration guide: the pre-`Engine` API → the builder-first API
@@ -181,7 +181,7 @@ pub mod prelude {
     pub use eyeriss_dataflow::registry;
     pub use eyeriss_dataflow::search::{optimize, Objective};
     pub use eyeriss_dataflow::{
-        Dataflow, DataflowId, DataflowKind, DataflowRegistry, MappingCandidate,
+        CandidateSink, Dataflow, DataflowId, DataflowKind, DataflowRegistry, MappingCandidate,
     };
     pub use eyeriss_nn::{
         alexnet, mobilenet, reference, synth, Fix16, LayerProblem, LayerShape, Tensor4, Workload,

@@ -3,26 +3,97 @@
 //! The paper frames each dataflow as "a set of parameters ... that
 //! describes the optimal mapping in terms of energy efficiency", all
 //! searched by one optimizer (Section VI-C). This trait is that framing
-//! made literal: a dataflow *is* anything that can enumerate candidate
-//! mappings, re-derive the model for given parameters, and validate a
-//! candidate against hardware. The optimizer ([`crate::search`]), the
-//! cluster planner and the serving plan compiler are generic over
-//! `&dyn Dataflow`, so new spaces (Eyeriss v2's flexible RS, a
-//! serial-accumulation OS variant) plug in through the
+//! made literal: a dataflow *is* anything that can fold its candidate
+//! mappings into a [`CandidateSink`], re-derive the model for given
+//! parameters, and validate a candidate against hardware. The optimizer
+//! ([`crate::search`]), the cluster planner and the serving plan compiler
+//! are generic over `&dyn Dataflow`, so new spaces (Eyeriss v2's flexible
+//! RS, a serial-accumulation OS variant) plug in through the
 //! [`crate::DataflowRegistry`] without touching any of them.
 
-use crate::candidate::MappingCandidate;
+use crate::candidate::{MappingCandidate, MappingParams};
 use crate::error::DataflowError;
 use crate::id::DataflowId;
+use eyeriss_arch::access::LayerAccessProfile;
 use eyeriss_arch::config::AcceleratorConfig;
 use eyeriss_nn::LayerProblem;
 
+/// Where a mapping space sends its candidates: the optimizer's running
+/// fold ([`crate::search::optimize`]) or a plain collector (`Vec`).
+///
+/// The contract a space keeps:
+///
+/// * **Order.** Candidates are offered in the space's enumeration order.
+///   The optimizer breaks exact ties (equal active PEs, equal score)
+///   toward the *later* offer, so a space that visits its candidates in
+///   another order must still offer them in enumeration order.
+/// * **Bounds.** A space may skip a whole group of candidates when
+///   [`prunes`](CandidateSink::prunes) says so for a `lower` profile
+///   whose every count is ≤ the same count of every candidate the group
+///   covers, with `active_pes` the *largest* PE count among them (more
+///   PEs can only shorten the delay). A looser bound prunes less; a bound
+///   above any covered count could change the winner.
+/// * **Seeds.** A space may [`seed`](CandidateSink::seed) candidates
+///   ahead of their turn, in any order, so that pruning bites early. A
+///   seeded candidate must still be offered in its turn, unless a pruned
+///   group covers it.
+///
+/// Only [`offer`](CandidateSink::offer) is required: a collector that
+/// never prunes keeps every candidate.
+pub trait CandidateSink {
+    /// Takes one feasible candidate.
+    fn offer(&mut self, candidate: MappingCandidate);
+
+    /// The objective score of `lower` on `active_pes` PEs, by which a
+    /// space orders its groups tightest first. Sinks without an objective
+    /// price everything at 0.
+    fn price(&self, lower: &LayerAccessProfile, active_pes: usize) -> f64 {
+        let _ = (lower, active_pes);
+        0.0
+    }
+
+    /// True when no candidate covered by the bound (`lower`,
+    /// `active_pes`) can win, so the space may skip them all.
+    fn prunes(&self, lower: &LayerAccessProfile, active_pes: usize) -> bool {
+        let _ = (lower, active_pes);
+        false
+    }
+
+    /// Takes `candidate` ahead of its turn, to prune against. Its offer in
+    /// turn follows, so collectors ignore seeds.
+    fn seed(&mut self, candidate: &MappingCandidate) {
+        let _ = candidate;
+    }
+}
+
+impl CandidateSink for Vec<MappingCandidate> {
+    fn offer(&mut self, candidate: MappingCandidate) {
+        self.push(candidate);
+    }
+}
+
+/// The first offered candidate carrying `params` ([`Dataflow::model`]).
+struct FindParams<'a> {
+    params: &'a MappingParams,
+    found: Option<MappingCandidate>,
+}
+
+impl CandidateSink for FindParams<'_> {
+    fn offer(&mut self, candidate: MappingCandidate) {
+        if self.found.is_none() && candidate.params == *self.params {
+            self.found = Some(candidate);
+        }
+    }
+}
+
 /// A parameterized dataflow mapping space (Section VI-A, opened up).
 ///
-/// The three required operations mirror the optimizer's contract:
+/// The operations mirror the optimizer's contract:
 ///
-/// * [`enumerate`](Dataflow::enumerate) — the candidate mappings of a
-///   problem on given hardware (empty when the dataflow cannot operate);
+/// * [`for_each_candidate`](Dataflow::for_each_candidate) — fold the
+///   candidate mappings of a problem on given hardware into a
+///   [`CandidateSink`] (nothing offered when the dataflow cannot operate);
+///   [`enumerate`](Dataflow::enumerate) collects them;
 /// * [`model`](Dataflow::model) — re-derive the full candidate (access
 ///   profile, active PEs) for *known* parameters, used to check
 ///   deserialized plans against the live model;
@@ -36,15 +107,32 @@ pub trait Dataflow: Send + Sync {
     /// fixed-area storage split).
     fn rf_bytes(&self) -> f64;
 
-    /// Enumerates every feasible mapping of `problem` on `hw`, each with
-    /// exact aggregate access counts. An empty vector means the dataflow
-    /// cannot operate at this point (WS at batch 64 on 256 PEs, Fig. 11a).
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate>;
+    /// Offers every feasible mapping of `problem` on `hw` to `sink`, each
+    /// with exact aggregate access counts, keeping the [`CandidateSink`]
+    /// contract (enumeration order; bounds below every covered count).
+    /// Offering nothing means the dataflow cannot operate at this point
+    /// (WS at batch 64 on 256 PEs, Fig. 11a). The simplest space ignores
+    /// the bounds and offers everything.
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    );
+
+    /// Collects every feasible mapping of `problem` on `hw`, in
+    /// enumeration order. An empty vector means the dataflow cannot
+    /// operate at this point.
+    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
+        let mut out = Vec::new();
+        self.for_each_candidate(problem, hw, &mut out);
+        out
+    }
 
     /// Re-derives the candidate for known `params`.
     ///
-    /// The default scans [`enumerate`](Dataflow::enumerate) for an exact
-    /// parameter match; spaces with a closed-form model can override.
+    /// The default folds the space looking for an exact parameter match;
+    /// spaces with a closed-form model can override.
     ///
     /// # Errors
     ///
@@ -53,21 +141,23 @@ pub trait Dataflow: Send + Sync {
     /// this space for `problem`.
     fn model(
         &self,
-        params: &crate::candidate::MappingParams,
+        params: &MappingParams,
         problem: &LayerProblem,
         hw: &AcceleratorConfig,
     ) -> Result<MappingCandidate, DataflowError> {
         params.expect_dataflow(self.id())?;
-        self.enumerate(problem, hw)
-            .into_iter()
-            .find(|c| c.params == *params)
-            .ok_or_else(|| DataflowError::NoSuchMapping {
-                dataflow: self.id(),
-                detail: format!(
-                    "{params} for {}x{}x{} (batch {})",
-                    problem.shape.m, problem.shape.c, problem.shape.h, problem.batch
-                ),
-            })
+        let mut find = FindParams {
+            params,
+            found: None,
+        };
+        self.for_each_candidate(problem, hw, &mut find);
+        find.found.ok_or_else(|| DataflowError::NoSuchMapping {
+            dataflow: self.id(),
+            detail: format!(
+                "{params} for {}x{}x{} (batch {})",
+                problem.shape.m, problem.shape.c, problem.shape.h, problem.batch
+            ),
+        })
     }
 
     /// Screens one candidate for feasibility on `hw`.
@@ -113,7 +203,6 @@ pub trait Dataflow: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::MappingParams;
     use crate::kind::DataflowKind;
     use crate::registry;
     use eyeriss_nn::LayerShape;

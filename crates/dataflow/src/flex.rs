@@ -24,11 +24,15 @@
 //!   grouped convolution concurrently. Divides both `n_clusters` (gangs
 //!   own whole clusters) and `G` (every gang executes `G/rep` groups
 //!   sequentially, so no gang idles on a ragged final round).
-//! * `k3 = idx` — index into the deterministic per-gang RS enumeration.
+//! * `k3 = idx` — index into the deterministic per-gang RS enumeration
+//!   (the full one: the search counts the feasible candidates of pruned
+//!   groups without pricing them, so the index never depends on what
+//!   was pruned).
 //!
 //! Each gang owns `cpg = n_clusters/rep` clusters, modeled as a logical
 //! `cr x (cc·cpg)` sub-array with a `1/rep` slice of the global buffer, and
-//! runs the classic [`RowStationaryModel`] tiling on the *per-group* layer
+//! runs the classic [`RowStationaryModel`](crate::rs::RowStationaryModel)
+//! tiling (and its bounds, lifted the same way) on the *per-group* layer
 //! shape. The whole-layer profile is the per-gang, per-group profile scaled
 //! by `G` (total work is exact), with array-level hops inflated by
 //! [`mesh_routing_factor`] to charge words that cross router-cluster
@@ -46,13 +50,14 @@
 //! the proof that the optimizer, cluster planner and serving compiler need
 //! zero changes to carry a seventh dataflow.
 
-use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::candidate::MappingParams;
+use crate::dataflow::{CandidateSink, Dataflow};
+use crate::grouped::Lift;
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
-use crate::rs::RowStationaryModel;
 use eyeriss_arch::config::{AcceleratorConfig, GridDims};
 use eyeriss_nn::LayerProblem;
+use std::cell::Cell;
 
 /// The identity `flex-rs` registers, searches and serializes under.
 pub const FLEX_RS: DataflowId = DataflowId::new("flex-rs");
@@ -111,12 +116,15 @@ impl Dataflow for FlexRsModel {
         DataflowKind::RowStationary.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
         let g = problem.shape.groups.max(1);
         let per_group = problem.shape.per_group();
         let (rows, cols) = (hw.grid.rows, hw.grid.cols);
-        let rs = RowStationaryModel;
-        let mut out = Vec::new();
         for &cr in &divisors(rows) {
             for &cc in &divisors(cols) {
                 let n_clusters = (rows / cr) * (cols / cc);
@@ -130,33 +138,35 @@ impl Dataflow for FlexRsModel {
                         rf_bytes_per_pe: hw.rf_bytes_per_pe,
                         buffer_bytes: hw.buffer_bytes / rep as f64,
                     };
-                    let mesh = mesh_routing_factor(cr, cc, cpg);
-                    for (idx, mut cand) in rs
-                        .mappings(&per_group, problem.batch, &gang_hw)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        cand.profile.scale(g as f64);
-                        cand.profile.ifmap.array_hops *= mesh;
-                        cand.profile.filter.array_hops *= mesh;
-                        cand.profile.psum.array_hops *= mesh;
-                        cand.active_pes *= rep;
-                        cand.params = MappingParams::Custom {
-                            id: FLEX_RS,
-                            knobs: [cr, cc, rep, idx],
-                        };
-                        out.push(cand);
-                    }
+                    let ordinal = Cell::new(0);
+                    let relabel = || MappingParams::Custom {
+                        id: FLEX_RS,
+                        knobs: [cr, cc, rep, ordinal.get()],
+                    };
+                    let mut gang = Lift {
+                        inner: &mut *sink,
+                        groups: g as f64,
+                        mesh: mesh_routing_factor(cr, cc, cpg),
+                        rep,
+                        relabel: Some(&relabel),
+                    };
+                    crate::rs::fold(
+                        &per_group,
+                        problem.batch,
+                        &gang_hw,
+                        &mut gang,
+                        Some(&ordinal),
+                    );
                 }
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs::RowStationaryModel;
     use crate::search::{self, Objective};
     use eyeriss_arch::TableIv;
     use eyeriss_nn::LayerShape;

@@ -11,27 +11,86 @@
 //! (`G·alu_per_group / active_pes`), which is exactly why compact
 //! depthwise layers starve these dataflows and motivate `flex-rs`.
 
-use crate::candidate::MappingCandidate;
+use crate::candidate::{MappingCandidate, MappingParams};
+use crate::dataflow::CandidateSink;
+use eyeriss_arch::access::LayerAccessProfile;
 use eyeriss_nn::{LayerProblem, LayerShape};
 
-/// Lowers `problem` through `per_group`, a dense mapping enumerator over
-/// `(shape, batch)`: identity for dense layers; for grouped layers the
-/// per-group shape is enumerated and each candidate's profile scaled by
-/// `G` (sequential group execution).
+/// Lowers `problem` through `per_group`, a dense mapping fold over
+/// `(shape, batch, sink)`: identity for dense layers; for grouped layers
+/// the per-group shape is folded and every candidate's (and bound's)
+/// profile scaled by `G` (sequential group execution).
 pub(crate) fn lower(
     problem: &LayerProblem,
-    per_group: impl Fn(&LayerShape, usize) -> Vec<MappingCandidate>,
-) -> Vec<MappingCandidate> {
+    sink: &mut dyn CandidateSink,
+    per_group: impl FnOnce(&LayerShape, usize, &mut dyn CandidateSink),
+) {
     let g = problem.shape.groups;
     if g <= 1 {
-        return per_group(&problem.shape, problem.batch);
+        per_group(&problem.shape, problem.batch, sink);
+    } else {
+        let mut lift = Lift {
+            inner: sink,
+            groups: g as f64,
+            mesh: 1.0,
+            rep: 1,
+            relabel: None,
+        };
+        per_group(&problem.shape.per_group(), problem.batch, &mut lift);
     }
-    let shape = problem.shape.per_group();
-    let mut cands = per_group(&shape, problem.batch);
-    for c in &mut cands {
-        c.profile.scale(g as f64);
+}
+
+/// Forwards a per-group fold's candidates and bounds as whole-layer ones:
+/// every count `× groups`, array hops `× mesh`, active PEs `× rep`, and
+/// the params from `relabel` when given. Plain grouped lowering scales
+/// only; flex-rs's gangs use all four.
+pub(crate) struct Lift<'a> {
+    pub(crate) inner: &'a mut dyn CandidateSink,
+    pub(crate) groups: f64,
+    pub(crate) mesh: f64,
+    pub(crate) rep: usize,
+    pub(crate) relabel: Option<&'a dyn Fn() -> MappingParams>,
+}
+
+impl Lift<'_> {
+    fn profile(&self, profile: &LayerAccessProfile) -> LayerAccessProfile {
+        let mut p = *profile;
+        p.scale(self.groups);
+        p.ifmap.array_hops *= self.mesh;
+        p.filter.array_hops *= self.mesh;
+        p.psum.array_hops *= self.mesh;
+        p
     }
-    cands
+
+    fn candidate(&self, candidate: &MappingCandidate) -> MappingCandidate {
+        MappingCandidate {
+            profile: self.profile(&candidate.profile),
+            active_pes: candidate.active_pes * self.rep,
+            params: self.relabel.map_or(candidate.params, |relabel| relabel()),
+        }
+    }
+}
+
+impl CandidateSink for Lift<'_> {
+    fn offer(&mut self, candidate: MappingCandidate) {
+        let lifted = self.candidate(&candidate);
+        self.inner.offer(lifted);
+    }
+
+    fn price(&self, lower: &LayerAccessProfile, active_pes: usize) -> f64 {
+        self.inner
+            .price(&self.profile(lower), active_pes * self.rep)
+    }
+
+    fn prunes(&self, lower: &LayerAccessProfile, active_pes: usize) -> bool {
+        self.inner
+            .prunes(&self.profile(lower), active_pes * self.rep)
+    }
+
+    fn seed(&mut self, candidate: &MappingCandidate) {
+        let lifted = self.candidate(candidate);
+        self.inner.seed(&lifted);
+    }
 }
 
 #[cfg(test)]

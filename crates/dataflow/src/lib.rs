@@ -3,10 +3,12 @@
 //! Implements Section IV (the taxonomy of existing dataflows), Section V
 //! (the row-stationary dataflow) and the per-dataflow simulation models of
 //! Section VI-A. Each dataflow is a parameterized *mapping space*: given a
-//! layer shape, a batch size and an accelerator configuration it enumerates
-//! candidate mappings, each with exact aggregate access counts per data
-//! type across the four-level hierarchy. The optimizer of Section VI-C
-//! (in [`search`]) picks the most energy-efficient candidate.
+//! layer shape, a batch size and an accelerator configuration it streams
+//! candidate mappings into a [`CandidateSink`], each with exact aggregate
+//! access counts per data type across the four-level hierarchy. The
+//! optimizer of Section VI-C (in [`search`]) folds them into the most
+//! energy-efficient candidate, skipping groups whose lower bound cannot
+//! win.
 //!
 //! | Dataflow | Data handling (Table III) | Module |
 //! |----------|---------------------------|--------|
@@ -64,7 +66,7 @@ pub mod wire;
 pub mod ws;
 
 pub use candidate::{MappingCandidate, MappingParams, ParamsMismatch};
-pub use dataflow::Dataflow;
+pub use dataflow::{CandidateSink, Dataflow};
 pub use error::DataflowError;
 pub use id::DataflowId;
 pub use kind::DataflowKind;

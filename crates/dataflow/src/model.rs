@@ -49,6 +49,17 @@ pub(crate) fn factor_candidates(dim: usize, cap: usize) -> Vec<usize> {
     out
 }
 
+/// Every mapping `df` offers for `shape` at batch `n` on `hw`.
+#[cfg(test)]
+pub(crate) fn mappings_of(
+    df: &dyn crate::Dataflow,
+    shape: &eyeriss_nn::LayerShape,
+    n: usize,
+    hw: &eyeriss_arch::AcceleratorConfig,
+) -> Vec<crate::MappingCandidate> {
+    df.enumerate(&eyeriss_nn::LayerProblem::new(*shape, n), hw)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

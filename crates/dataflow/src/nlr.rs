@@ -17,7 +17,7 @@
 //! see no array reuse at all.
 
 use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
 use crate::model::{ceil_div, factor_candidates};
@@ -38,33 +38,33 @@ impl Dataflow for NoLocalReuseModel {
         DataflowKind::NoLocalReuse.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink))
     }
 }
 
-impl NoLocalReuseModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        let pes = hw.num_pes();
-        let buf_words = hw.buffer_words();
-        let mut out = Vec::new();
-        for &g_c in &factor_candidates(shape.c, pes) {
-            for &g_w in &factor_candidates(shape.m, pes / g_c) {
-                for ifmap_resident in [true, false] {
-                    if let Some(c) = evaluate(shape, n_batch, g_c, g_w, ifmap_resident, buf_words) {
-                        out.push(c);
-                    }
+/// Offers the feasible mappings of `shape` at batch `n_batch` on `hw`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn CandidateSink,
+) {
+    let pes = hw.num_pes();
+    let buf_words = hw.buffer_words();
+    for &g_c in &factor_candidates(shape.c, pes) {
+        for &g_w in &factor_candidates(shape.m, pes / g_c) {
+            for ifmap_resident in [true, false] {
+                if let Some(c) = evaluate(shape, n_batch, g_c, g_w, ifmap_resident, buf_words) {
+                    sink.offer(c);
                 }
             }
         }
-        out
     }
 }
 
@@ -159,8 +159,7 @@ mod tests {
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
         let em = EnergyModel::table_iv();
-        NoLocalReuseModel
-            .mappings(shape, n, &hw(pes))
+        crate::model::mappings_of(&NoLocalReuseModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
                 a.profile

@@ -14,7 +14,7 @@
 //! ifmap pixels from the same spatial plane").
 
 use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
 use crate::model::{ceil_div, factor_candidates};
@@ -36,43 +36,42 @@ impl Dataflow for OutputStationaryAModel {
         DataflowKind::OutputStationaryA.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink))
     }
 }
 
-impl OutputStationaryAModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        let (ah, aw) = (hw.grid.rows, hw.grid.cols);
-        let buf_words = hw.buffer_words();
-        let pes = hw.num_pes();
-        let mut out = Vec::new();
-        for &e_x in &factor_candidates(shape.e, ah) {
-            for &e_y in &factor_candidates(shape.e, aw) {
-                let tile = e_x * e_y;
-                for &n_par in &factor_candidates(n_batch, pes / tile) {
-                    for residency in [
-                        IfmapResidency::Plane,
-                        IfmapResidency::Band,
-                        IfmapResidency::Tile,
-                    ] {
-                        if let Some(c) =
-                            evaluate(shape, n_batch, e_x, e_y, n_par, residency, buf_words)
-                        {
-                            out.push(c);
-                        }
+/// Offers the feasible mappings of `shape` at batch `n_batch` on `hw`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn CandidateSink,
+) {
+    let (ah, aw) = (hw.grid.rows, hw.grid.cols);
+    let buf_words = hw.buffer_words();
+    let pes = hw.num_pes();
+    for &e_x in &factor_candidates(shape.e, ah) {
+        for &e_y in &factor_candidates(shape.e, aw) {
+            let tile = e_x * e_y;
+            for &n_par in &factor_candidates(n_batch, pes / tile) {
+                for residency in [
+                    IfmapResidency::Plane,
+                    IfmapResidency::Band,
+                    IfmapResidency::Tile,
+                ] {
+                    if let Some(c) = evaluate(shape, n_batch, e_x, e_y, n_par, residency, buf_words)
+                    {
+                        sink.offer(c);
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -174,8 +173,7 @@ mod tests {
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
         let em = EnergyModel::table_iv();
-        OutputStationaryAModel
-            .mappings(shape, n, &hw(pes))
+        crate::model::mappings_of(&OutputStationaryAModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
                 a.profile
@@ -204,7 +202,7 @@ mod tests {
         // CONV5: E=13, so at batch 1 at most 169 PEs can be active even on
         // a 1024-PE array — the root of OSA's high EDP in Fig. 13c.
         let conv5 = &alexnet::conv_layers()[4].shape;
-        for c in OutputStationaryAModel.mappings(conv5, 1, &hw(1024)) {
+        for c in crate::model::mappings_of(&OutputStationaryAModel, conv5, 1, &hw(1024)) {
             assert!(c.active_pes <= 13 * 13);
         }
     }
@@ -213,7 +211,7 @@ mod tests {
     fn fc_layers_degenerate() {
         // E = 1: a single pixel per image; utilization is n_par at best.
         let fc2 = &alexnet::fc_layers()[1].shape;
-        for c in OutputStationaryAModel.mappings(fc2, 16, &hw(1024)) {
+        for c in crate::model::mappings_of(&OutputStationaryAModel, fc2, 16, &hw(1024)) {
             assert!(c.active_pes <= 16);
         }
     }
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn plane_residency_cuts_dram() {
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = OutputStationaryAModel.mappings(conv2, 16, &hw(256));
+        let cands = crate::model::mappings_of(&OutputStationaryAModel, conv2, 16, &hw(256));
         let resident_min = cands
             .iter()
             .map(|c| c.profile.ifmap.dram_reads)

@@ -11,7 +11,7 @@
 //! of \[20\].
 
 use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
 use crate::model::{ceil_div, factor_candidates};
@@ -33,46 +33,46 @@ impl Dataflow for OutputStationaryBModel {
         DataflowKind::OutputStationaryB.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink))
     }
 }
 
-impl OutputStationaryBModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        let pes = hw.num_pes();
-        let buf_words = hw.buffer_words();
-        let mut out = Vec::new();
-        // For FC layers (E = 1) the "multiple ofmap pixels" of MOC-MOP come
-        // from different images of the batch instead of one plane.
-        let pixel_dim = if shape.is_fc_shaped() {
-            n_batch
-        } else {
-            shape.e
-        };
-        for &o_m in &factor_candidates(shape.m, pes) {
-            for &o_p in &factor_candidates(pixel_dim, pes / o_m) {
-                if shape.is_fc_shaped() {
-                    if let Some(c) = evaluate_fc(shape, n_batch, o_m, o_p, buf_words) {
-                        out.push(c);
-                    }
-                    continue;
+/// Offers the feasible mappings of `shape` at batch `n_batch` on `hw`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn CandidateSink,
+) {
+    let pes = hw.num_pes();
+    let buf_words = hw.buffer_words();
+    // For FC layers (E = 1) the "multiple ofmap pixels" of MOC-MOP come
+    // from different images of the batch instead of one plane.
+    let pixel_dim = if shape.is_fc_shaped() {
+        n_batch
+    } else {
+        shape.e
+    };
+    for &o_m in &factor_candidates(shape.m, pes) {
+        for &o_p in &factor_candidates(pixel_dim, pes / o_m) {
+            if shape.is_fc_shaped() {
+                if let Some(c) = evaluate_fc(shape, n_batch, o_m, o_p, buf_words) {
+                    sink.offer(c);
                 }
-                for plane_resident in [true, false] {
-                    if let Some(c) = evaluate(shape, n_batch, o_m, o_p, plane_resident, buf_words) {
-                        out.push(c);
-                    }
+                continue;
+            }
+            for plane_resident in [true, false] {
+                if let Some(c) = evaluate(shape, n_batch, o_m, o_p, plane_resident, buf_words) {
+                    sink.offer(c);
                 }
             }
         }
-        out
     }
 }
 
@@ -217,8 +217,7 @@ mod tests {
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
         let em = EnergyModel::table_iv();
-        OutputStationaryBModel
-            .mappings(shape, n, &hw(pes))
+        crate::model::mappings_of(&OutputStationaryBModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
                 a.profile
@@ -249,7 +248,7 @@ mod tests {
     fn strip_multicast_cuts_filter_buffer_reads() {
         // Larger o_p -> fewer buffer reads per weight use.
         let conv3 = &alexnet::conv_layers()[2].shape;
-        let cands = OutputStationaryBModel.mappings(conv3, 1, &hw(256));
+        let cands = crate::model::mappings_of(&OutputStationaryBModel, conv3, 1, &hw(256));
         let narrow = cands
             .iter()
             .find(|c| matches!(c.params, MappingParams::OutputStationaryB { o_p: 1, .. }))
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn more_channels_less_ifmap_refetch() {
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = OutputStationaryBModel.mappings(conv2, 1, &hw(1024));
+        let cands = crate::model::mappings_of(&OutputStationaryBModel, conv2, 1, &hw(1024));
         let dram_of = |om_want: usize| {
             cands
                 .iter()

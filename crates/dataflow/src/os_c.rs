@@ -14,7 +14,7 @@
 //! significantly with batch sizes larger than 1" (Section VII-B).
 
 use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
 use crate::model::{ceil_div, factor_candidates};
@@ -36,35 +36,33 @@ impl Dataflow for OutputStationaryCModel {
         DataflowKind::OutputStationaryC.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink))
     }
 }
 
-impl OutputStationaryCModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        let pes = hw.num_pes();
-        let buf_words = hw.buffer_words();
-        let mut out = Vec::new();
-        for &o_m in &factor_candidates(shape.m, pes) {
-            for &n_par in &factor_candidates(n_batch, pes / o_m) {
-                for weights_resident in [true, false] {
-                    if let Some(c) =
-                        evaluate(shape, n_batch, o_m, n_par, weights_resident, buf_words)
-                    {
-                        out.push(c);
-                    }
+/// Offers the feasible mappings of `shape` at batch `n_batch` on `hw`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn CandidateSink,
+) {
+    let pes = hw.num_pes();
+    let buf_words = hw.buffer_words();
+    for &o_m in &factor_candidates(shape.m, pes) {
+        for &n_par in &factor_candidates(n_batch, pes / o_m) {
+            for weights_resident in [true, false] {
+                if let Some(c) = evaluate(shape, n_batch, o_m, n_par, weights_resident, buf_words) {
+                    sink.offer(c);
                 }
             }
         }
-        out
     }
 }
 
@@ -139,8 +137,7 @@ mod tests {
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
         let em = EnergyModel::table_iv();
-        OutputStationaryCModel
-            .mappings(shape, n, &hw(pes))
+        crate::model::mappings_of(&OutputStationaryCModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
                 a.profile
@@ -178,7 +175,7 @@ mod tests {
     fn active_pes_capped_by_channels_at_batch_1() {
         // Fig. 13: at batch 1 the maximum active PEs is M.
         let conv1 = &alexnet::conv_layers()[0].shape; // M = 96
-        for c in OutputStationaryCModel.mappings(conv1, 1, &hw(1024)) {
+        for c in crate::model::mappings_of(&OutputStationaryCModel, conv1, 1, &hw(1024)) {
             assert!(c.active_pes <= 96);
         }
     }

@@ -43,7 +43,7 @@ pub fn builtin(kind: DataflowKind) -> &'static dyn Dataflow {
 /// Register a seventh dataflow next to the paper's six:
 ///
 /// ```
-/// use eyeriss_dataflow::{Dataflow, DataflowId, DataflowRegistry, MappingCandidate};
+/// use eyeriss_dataflow::{CandidateSink, Dataflow, DataflowId, DataflowRegistry};
 /// use eyeriss_arch::AcceleratorConfig;
 /// use eyeriss_nn::LayerProblem;
 ///
@@ -51,9 +51,8 @@ pub fn builtin(kind: DataflowKind) -> &'static dyn Dataflow {
 /// impl Dataflow for Toy {
 ///     fn id(&self) -> DataflowId { DataflowId::new("TOY") }
 ///     fn rf_bytes(&self) -> f64 { 8.0 }
-///     fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-///         Vec::new()
-///     }
+///     fn for_each_candidate(&self, _: &LayerProblem, _: &AcceleratorConfig,
+///                           _: &mut dyn CandidateSink) {}
 /// }
 ///
 /// let mut reg = DataflowRegistry::builtin();
@@ -179,7 +178,7 @@ fn builtin_arc(kind: DataflowKind) -> Arc<dyn Dataflow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::MappingCandidate;
+    use crate::dataflow::CandidateSink;
     use eyeriss_arch::config::AcceleratorConfig;
     use eyeriss_nn::LayerProblem;
 
@@ -191,8 +190,12 @@ mod tests {
         fn rf_bytes(&self) -> f64 {
             8.0
         }
-        fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-            Vec::new()
+        fn for_each_candidate(
+            &self,
+            _: &LayerProblem,
+            _: &AcceleratorConfig,
+            _: &mut dyn CandidateSink,
+        ) {
         }
     }
 

@@ -223,8 +223,12 @@ mod tests {
             fn rf_bytes(&self) -> f64 {
                 8.0
             }
-            fn enumerate(&self, _: &LayerProblem, _: &AcceleratorConfig) -> Vec<MappingCandidate> {
-                Vec::new()
+            fn for_each_candidate(
+                &self,
+                _: &LayerProblem,
+                _: &AcceleratorConfig,
+                _: &mut dyn crate::dataflow::CandidateSink,
+            ) {
             }
         }
         let params = MappingParams::Custom {

@@ -16,7 +16,7 @@
 //! not fit, WS **cannot operate** (the missing batch-64 bar of Fig. 11a).
 
 use crate::candidate::{MappingCandidate, MappingParams};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
 use crate::kind::DataflowKind;
 use crate::model::{ceil_div, factor_candidates};
@@ -37,36 +37,36 @@ impl Dataflow for WeightStationaryModel {
         DataflowKind::WeightStationary.rf_bytes()
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
-        crate::grouped::lower(problem, |shape, n| self.mappings(shape, n, hw))
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
+        crate::grouped::lower(problem, sink, |shape, n, sink| mappings(shape, n, hw, sink))
     }
 }
 
-impl WeightStationaryModel {
-    /// Enumerates feasible mappings of `shape` at batch `n_batch` on `hw`
-    /// (the explicit-arguments form of [`Dataflow::enumerate`]).
-    pub fn mappings(
-        &self,
-        shape: &LayerShape,
-        n_batch: usize,
-        hw: &AcceleratorConfig,
-    ) -> Vec<MappingCandidate> {
-        // R x R weight blocks pack geometrically into the grid; leftover
-        // strips narrower than R are unusable.
-        let blocks = (hw.grid.rows / shape.r) * (hw.grid.cols / shape.r);
-        if blocks == 0 {
-            return Vec::new();
-        }
-        let buf_words = hw.buffer_words();
-        let mut out = Vec::new();
-        for &g_m in &factor_candidates(shape.m, blocks) {
-            for &g_c in &factor_candidates(shape.c, blocks / g_m) {
-                if let Some(cand) = evaluate(shape, n_batch, g_m, g_c, buf_words) {
-                    out.push(cand);
-                }
+/// Offers the feasible mappings of `shape` at batch `n_batch` on `hw`.
+fn mappings(
+    shape: &LayerShape,
+    n_batch: usize,
+    hw: &AcceleratorConfig,
+    sink: &mut dyn CandidateSink,
+) {
+    // R x R weight blocks pack geometrically into the grid; leftover
+    // strips narrower than R are unusable.
+    let blocks = (hw.grid.rows / shape.r) * (hw.grid.cols / shape.r);
+    if blocks == 0 {
+        return;
+    }
+    let buf_words = hw.buffer_words();
+    for &g_m in &factor_candidates(shape.m, blocks) {
+        for &g_c in &factor_candidates(shape.c, blocks / g_m) {
+            if let Some(cand) = evaluate(shape, n_batch, g_m, g_c, buf_words) {
+                sink.offer(cand);
             }
         }
-        out
     }
 }
 
@@ -148,9 +148,7 @@ mod tests {
         // exceed even WS's enlarged buffer.
         let conv1 = &alexnet::conv_layers()[0].shape;
         assert!(
-            WeightStationaryModel
-                .mappings(conv1, 64, &hw(256))
-                .is_empty(),
+            crate::model::mappings_of(&WeightStationaryModel, conv1, 64, &hw(256)).is_empty(),
             "CONV1 must be infeasible at N=64 on 256 PEs"
         );
     }
@@ -158,9 +156,7 @@ mod tests {
     #[test]
     fn feasible_on_conv1_at_batch_16_with_256_pes() {
         let conv1 = &alexnet::conv_layers()[0].shape;
-        assert!(!WeightStationaryModel
-            .mappings(conv1, 16, &hw(256))
-            .is_empty());
+        assert!(!crate::model::mappings_of(&WeightStationaryModel, conv1, 16, &hw(256)).is_empty());
     }
 
     #[test]
@@ -168,15 +164,15 @@ mod tests {
         // Figs. 11b/c show WS operating at batch 64 on larger arrays,
         // whose baseline area buys a bigger buffer.
         let conv1 = &alexnet::conv_layers()[0].shape;
-        assert!(!WeightStationaryModel
-            .mappings(conv1, 64, &hw(1024))
-            .is_empty());
+        assert!(
+            !crate::model::mappings_of(&WeightStationaryModel, conv1, 64, &hw(1024)).is_empty()
+        );
     }
 
     #[test]
     fn weight_rf_reads_equal_macs() {
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = WeightStationaryModel.mappings(conv2, 16, &hw(256));
+        let cands = crate::model::mappings_of(&WeightStationaryModel, conv2, 16, &hw(256));
         for c in &cands {
             assert_eq!(c.profile.filter.rf_reads, conv2.macs(16) as f64);
             // WS never uses the RF for psums (Table III).
@@ -189,7 +185,7 @@ mod tests {
     fn dram_filter_reads_are_minimal() {
         // Each weight enters the chip exactly once.
         let conv3 = &alexnet::conv_layers()[2].shape;
-        for c in WeightStationaryModel.mappings(conv3, 16, &hw(256)) {
+        for c in crate::model::mappings_of(&WeightStationaryModel, conv3, 16, &hw(256)) {
             assert_eq!(c.profile.filter.dram_reads, conv3.filter_words() as f64);
         }
     }
@@ -198,7 +194,7 @@ mod tests {
     fn ifmap_dram_reads_scale_with_filter_groups() {
         // Smaller g_m -> more weight-set swaps -> more ifmap re-streams.
         let conv2 = &alexnet::conv_layers()[1].shape;
-        let cands = WeightStationaryModel.mappings(conv2, 16, &hw(256));
+        let cands = crate::model::mappings_of(&WeightStationaryModel, conv2, 16, &hw(256));
         let small = cands
             .iter()
             .find(|c| matches!(c.params, MappingParams::WeightStationary { g_m: 1, .. }))
@@ -217,7 +213,7 @@ mod tests {
     fn active_pes_bounded_by_blocks() {
         // R=11 -> 11x11 blocks; only one packs into a 16x16 grid.
         let conv1 = &alexnet::conv_layers()[0].shape;
-        for c in WeightStationaryModel.mappings(conv1, 16, &hw(256)) {
+        for c in crate::model::mappings_of(&WeightStationaryModel, conv1, 16, &hw(256)) {
             assert!(c.active_pes <= 121, "one 11x11 block fits a 16x16 grid");
         }
     }
@@ -225,8 +221,6 @@ mod tests {
     #[test]
     fn infeasible_when_block_exceeds_array() {
         let shape = LayerShape::conv(4, 4, 40, 20, 1).unwrap(); // 400-PE block
-        assert!(WeightStationaryModel
-            .mappings(&shape, 1, &hw(256))
-            .is_empty());
+        assert!(crate::model::mappings_of(&WeightStationaryModel, &shape, 1, &hw(256)).is_empty());
     }
 }

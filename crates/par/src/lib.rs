@@ -1,11 +1,10 @@
 //! Minimal data-parallelism for the Eyeriss workspace.
 //!
-//! The cluster executor and the mapping-search hot path want a rayon-style
-//! `par_iter().map().collect()`, but this workspace builds offline with no
-//! external crates, so this module provides the one primitive they need:
-//! an order-preserving parallel map built on [`std::thread::scope`]. Work
-//! is split into one contiguous chunk per worker — the workloads here
-//! (scoring mapping candidates, simulating per-array sub-problems) are
+//! The cluster executor wants a rayon-style `par_iter().map().collect()`,
+//! but this workspace builds offline with no external crates, so this
+//! module provides the one primitive it needs: an order-preserving
+//! parallel map built on [`std::thread::scope`]. Work is split into one
+//! contiguous chunk per worker — simulating per-array sub-problems is
 //! uniform enough that static chunking is within noise of work stealing.
 
 use std::num::NonZeroUsize;
@@ -73,44 +72,22 @@ where
 }
 
 /// How many chunks each worker gets on average in the slice-borrowing
-/// maps. Oversubscribing chunks (more chunks than workers, handed out
+/// map. Oversubscribing chunks (more chunks than workers, handed out
 /// dynamically) keeps every thread busy when per-item costs are skewed —
-/// e.g. cluster sub-problems whose tile counts differ, or mapping
-/// candidates whose validation cost varies with the fold structure.
+/// e.g. cluster sub-problems whose tile counts differ.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Maps `f` over a borrowed slice in parallel, preserving order, without
-/// taking ownership of (or moving) any element.
+/// Maps `f` over a borrowed slice in parallel, preserving order, with
+/// per-worker state: `init` runs once on each worker thread and the
+/// resulting state is threaded through every item that worker processes.
 ///
 /// Unlike [`par_map`], items stay where they are: workers receive `&T`,
 /// so the caller can map over data it only borrows (a compiled plan's
-/// sub-problems, a candidate list that will be indexed afterwards). Work
-/// is handed out as several times more chunks than workers
-/// (`CHUNKS_PER_WORKER`), claimed dynamically, so skewed per-item costs
-/// do not leave threads idle behind one unlucky static chunk.
+/// sub-problems). Work is handed out as several times more chunks than
+/// workers (`CHUNKS_PER_WORKER`), claimed dynamically, so skewed per-item
+/// costs do not leave threads idle behind one unlucky static chunk.
 ///
-/// # Example
-///
-/// ```
-/// let data = vec![1u64, 2, 3, 4];
-/// let squares = eyeriss_par::par_map_slice(&data, |&x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// assert_eq!(data.len(), 4); // still owned by the caller
-/// ```
-pub fn par_map_slice<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_slice_with(items, || (), move |(), item| f(item))
-}
-
-/// [`par_map_slice`] with per-worker state: `init` runs once on each
-/// worker thread and the resulting state is threaded through every item
-/// that worker processes.
-///
-/// This is the hook for persistent execution contexts — e.g. one
+/// The state is the hook for persistent execution contexts — e.g. one
 /// simulator (with its scratch arena) per worker, reused across every
 /// sub-problem that worker claims, instead of a fresh allocation per
 /// item. Falls back to a sequential map (single state) for tiny inputs
@@ -189,6 +166,11 @@ where
 mod tests {
     use super::*;
 
+    /// A stateless map over a borrowed slice.
+    fn slice_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        par_map_slice_with(items, || (), |(), item| f(item))
+    }
+
     #[test]
     fn preserves_order() {
         let n = 10_000usize;
@@ -225,7 +207,7 @@ mod tests {
     #[test]
     fn slice_map_preserves_order_without_moving() {
         let items: Vec<usize> = (0..10_007).collect();
-        let out = par_map_slice(&items, |&x| x * 3);
+        let out = slice_map(&items, |&x| x * 3);
         assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
         assert_eq!(items.len(), 10_007, "slice still owned by caller");
     }
@@ -234,7 +216,7 @@ mod tests {
     fn slice_map_visits_every_item_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..997).collect();
-        let out = par_map_slice(&items, |&x| {
+        let out = slice_map(&items, |&x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -244,8 +226,8 @@ mod tests {
 
     #[test]
     fn slice_map_handles_degenerate_sizes() {
-        assert_eq!(par_map_slice(&[] as &[u8], |&x| x), Vec::<u8>::new());
-        assert_eq!(par_map_slice(&[7u8], |&x| x + 1), vec![8]);
+        assert_eq!(slice_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
+        assert_eq!(slice_map(&[7u8], |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -274,7 +256,7 @@ mod tests {
     #[should_panic]
     fn slice_worker_panics_propagate() {
         let items: Vec<u32> = (0..1000).collect();
-        let _ = par_map_slice(&items, |&x| {
+        let _ = slice_map(&items, |&x| {
             assert!(x != 500, "boom");
             x
         });

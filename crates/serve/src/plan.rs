@@ -125,6 +125,17 @@ impl PlanCache {
         key: PlanKey,
         compile: impl FnOnce() -> Result<ClusterPlan, ServeError>,
     ) -> Result<Arc<ClusterPlan>, ServeError> {
+        self.lookup(key, compile).map(|(plan, _)| plan)
+    }
+
+    /// [`PlanCache::get_or_compile`], also saying whether *this* lookup
+    /// ran `compile` (a miss): the shared counters cannot tell one
+    /// caller's lookups from another's.
+    fn lookup(
+        &self,
+        key: PlanKey,
+        compile: impl FnOnce() -> Result<ClusterPlan, ServeError>,
+    ) -> Result<(Arc<ClusterPlan>, bool), ServeError> {
         if let Some(hit) = self
             .plans
             .lock()
@@ -132,12 +143,12 @@ impl PlanCache {
             .get(&key)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
+            return Ok((Arc::clone(hit), false));
         }
         let plan = Arc::new(compile()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        Ok(Arc::clone(plans.entry(key).or_insert(plan)))
+        Ok((Arc::clone(plans.entry(key).or_insert(plan)), true))
     }
 
     /// Number of distinct plans stored.
@@ -264,7 +275,8 @@ pub struct CompiledPlan {
     /// on cache misses (a fully warmed compile still pays the cache
     /// lookups and stage assembly, typically microseconds).
     pub compile_time: Duration,
-    /// Distinct searches this compile ran (cache misses).
+    /// Searches this compile ran (its own cache misses; concurrent
+    /// compiles through the same cache are not counted).
     pub searched: u64,
     /// Stages answered from the plan cache.
     pub cached: u64,
@@ -468,6 +480,16 @@ impl PlanCompiler {
         shape: &LayerShape,
         n: usize,
     ) -> Result<Arc<ClusterPlan>, ServeError> {
+        self.compile_layer_counted(shape, n).map(|(plan, _)| plan)
+    }
+
+    /// [`PlanCompiler::compile_layer`], also saying whether it searched
+    /// (a cache miss of its own).
+    fn compile_layer_counted(
+        &self,
+        shape: &LayerShape,
+        n: usize,
+    ) -> Result<(Arc<ClusterPlan>, bool), ServeError> {
         let problem = LayerProblem::new(*shape, n);
         if !problem.is_weighted() {
             return Err(ServeError::NoPlan(
@@ -482,7 +504,7 @@ impl PlanCompiler {
             &self.hw,
             self.cost.as_ref(),
         );
-        self.cache.get_or_compile(key, || {
+        self.cache.lookup(key, || {
             plan_layer(
                 self.dataflow.as_ref(),
                 &problem,
@@ -508,8 +530,8 @@ impl PlanCompiler {
     ///
     /// Fails if any weighted stage has no feasible plan.
     pub fn compile_network(&self, net: &Network, n: usize) -> Result<CompiledPlan, ServeError> {
-        let before = self.cache.stats();
         let start = Instant::now();
+        let (mut searched, mut cached) = (0, 0);
         let mut stages = Vec::with_capacity(net.stages().len());
         for stage in net.stages() {
             stages.push(match stage.shape.kind {
@@ -517,23 +539,30 @@ impl PlanCompiler {
                     name: stage.name.clone(),
                     shape: stage.shape,
                 },
-                LayerKind::Conv | LayerKind::FullyConnected => StagePlan::Layer {
-                    name: stage.name.clone(),
-                    shape: stage.shape,
-                    relu: stage.relu,
-                    plan: self.compile_layer(&stage.shape, n)?,
-                    footprint: Footprint::of(&stage.shape, n),
-                },
+                LayerKind::Conv | LayerKind::FullyConnected => {
+                    let (plan, miss) = self.compile_layer_counted(&stage.shape, n)?;
+                    if miss {
+                        searched += 1;
+                    } else {
+                        cached += 1;
+                    }
+                    StagePlan::Layer {
+                        name: stage.name.clone(),
+                        shape: stage.shape,
+                        relu: stage.relu,
+                        plan,
+                        footprint: Footprint::of(&stage.shape, n),
+                    }
+                }
             });
         }
-        let after = self.cache.stats();
         Ok(CompiledPlan {
             batch: n,
             arrays: self.arrays,
             stages,
             compile_time: start.elapsed(),
-            searched: after.misses - before.misses,
-            cached: after.hits - before.hits,
+            searched,
+            cached,
         })
     }
 
@@ -614,6 +643,59 @@ mod tests {
         assert!(first.analytic_delay() > 0.0);
         assert!(first.analytic_energy() > 0.0);
         assert!(first.peak_footprint_words() > 0);
+    }
+
+    /// Row stationary, except that its first search compiles another
+    /// layer through `side`, a compiler on the same cache: a concurrent
+    /// compile, made deterministic.
+    struct CompilesMidSearch {
+        side: PlanCompiler,
+        fired: std::sync::atomic::AtomicBool,
+    }
+
+    impl Dataflow for CompilesMidSearch {
+        fn id(&self) -> DataflowId {
+            DataflowKind::RowStationary.id()
+        }
+
+        fn rf_bytes(&self) -> f64 {
+            DataflowKind::RowStationary.rf_bytes()
+        }
+
+        fn for_each_candidate(
+            &self,
+            problem: &LayerProblem,
+            hw: &AcceleratorConfig,
+            sink: &mut dyn eyeriss_dataflow::CandidateSink,
+        ) {
+            if !self.fired.swap(true, Ordering::Relaxed) {
+                let other = LayerShape::conv(4, 3, 9, 3, 2).unwrap();
+                self.side.compile_layer(&other, 1).unwrap();
+            }
+            eyeriss_dataflow::registry::builtin(DataflowKind::RowStationary)
+                .for_each_candidate(problem, hw, sink);
+        }
+    }
+
+    #[test]
+    fn network_compile_counts_only_its_own_searches() {
+        let cache = Arc::new(PlanCache::new());
+        let side = PlanCompiler::new(2, small_hw()).with_cache(Arc::clone(&cache));
+        let compiler = PlanCompiler::new(2, small_hw())
+            .with_cache(Arc::clone(&cache))
+            .with_dataflow(Arc::new(CompilesMidSearch {
+                side,
+                fired: Default::default(),
+            }));
+        let net = NetworkBuilder::new(3, 19)
+            .conv("C1", 8, 3, 2)
+            .unwrap()
+            .conv("C2", 8, 3, 2)
+            .unwrap()
+            .build(7);
+        let plan = compiler.compile_network(&net, 2).unwrap();
+        assert_eq!(cache.stats().misses, 3, "the side compile searched too");
+        assert_eq!((plan.searched, plan.cached), (2, 0));
     }
 
     #[test]

@@ -31,11 +31,15 @@ impl Dataflow for ChannelCyclic {
         16.0
     }
 
-    fn enumerate(&self, problem: &LayerProblem, hw: &AcceleratorConfig) -> Vec<MappingCandidate> {
+    fn for_each_candidate(
+        &self,
+        problem: &LayerProblem,
+        hw: &AcceleratorConfig,
+        sink: &mut dyn CandidateSink,
+    ) {
         let shape = &problem.shape;
         let n = problem.batch;
         let macs = shape.macs(n) as f64;
-        let mut out = Vec::new();
         let mut k = 1usize;
         while k <= shape.m.min(hw.num_pes()) {
             let groups = shape.m.div_ceil(k) as f64;
@@ -53,7 +57,7 @@ impl Dataflow for ChannelCyclic {
             profile.psum.rf_reads = macs;
             profile.psum.rf_writes = macs;
             profile.psum.dram_writes = shape.ofmap_words(n) as f64;
-            out.push(MappingCandidate {
+            sink.offer(MappingCandidate {
                 profile,
                 active_pes: k,
                 params: eyeriss::dataflow::MappingParams::Custom {
@@ -63,7 +67,6 @@ impl Dataflow for ChannelCyclic {
             });
             k *= 2;
         }
-        out
     }
 }
 
