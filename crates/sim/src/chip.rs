@@ -1,19 +1,38 @@
-//! The accelerator: pass orchestration of the row-stationary dataflow
-//! over the PE array, global buffer and NoCs.
+//! The accelerator: the row-stationary dataflow over the PE array,
+//! global buffer and NoCs, run as counts plus values.
 //!
 //! The simulator executes real Q8.8 data and is bit-exact against the
 //! golden reference, while measuring every word moved across the
-//! hierarchy. The second-phase folding loop order follows the mapping's
-//! residency policy (Section V-B): either the filter group stays in the
-//! buffer across batch/strip loops, or the ifmap strip stays resident
-//! across filter groups.
+//! hierarchy. A layer run has two halves.
+//!
+//! * **Counts come from the pass walk.** It visits every processing pass
+//!   of the mapping's second folding phase in the chip's loop order,
+//!   which the residency policy picks (Section V-B): either the filter
+//!   group stays in the buffer across batch/strip loops, or the ifmap
+//!   strip stays resident across filter groups. It checks every buffer
+//!   and scratchpad capacity, charges each pass's DRAM stall, and
+//!   computes the pass's access counts in closed form from the mapping,
+//!   the shape and the pass indices. It reads no tensor.
+//! * **Values come from the layer kernel.** Each group's psums are
+//!   computed once, one `M x E` strip per (image, ofmap row), with the
+//!   PE's windowed MAC kernel reading the weight tensor in place. Every
+//!   add wraps, so the order the kernel visits taps in cannot change a
+//!   bit. The PE counters that depend on the data (zero-gated and
+//!   CSC-skipped MACs, CSC ifmap reads) are set per layer from per-row
+//!   zero and nonzero summaries of the ifmap.
+//!
+//! Both are checked against the PE-driven pass they replace, which
+//! stages every filter row into a pool of [`Pe`](crate::pe::Pe)
+//! scratchpads and is kept as a test oracle.
 
 use crate::csc::{self, CscStats};
 use crate::dram::DramModel;
 use crate::error::SimError;
+use crate::gbuf::GlobalBuffer;
 use crate::mesh::{HierarchicalMesh, MeshStats};
+use crate::noc::NocStats;
 use crate::passes::RsMapping;
-use crate::pe::FilterRows;
+use crate::pe::{self, FilterRows, PeStats};
 use crate::rlc;
 use crate::scratch::SimScratch;
 use crate::stats::SimStats;
@@ -21,6 +40,9 @@ use eyeriss_arch::config::AcceleratorConfig;
 use eyeriss_nn::{reference, Fix16, LayerKind, LayerShape, Tensor4};
 use eyeriss_telemetry::Telemetry;
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// The result of simulating one layer.
 #[derive(Debug, Clone)]
@@ -112,10 +134,10 @@ impl Accelerator {
         self
     }
 
-    /// Enables CSC sparse execution: ifmap rows are encoded into the
-    /// Eyeriss v2 compressed format and the PEs iterate nonzeros directly,
-    /// never issuing zero MACs. Psums stay bit-exact against the dense
-    /// path; [`SimStats::csc`] reports the storage win.
+    /// Enables CSC sparse execution: ifmap rows are stored in the Eyeriss
+    /// v2 compressed format and the PEs iterate nonzeros directly, never
+    /// issuing zero MACs. Psums stay bit-exact against the dense path;
+    /// [`SimStats::csc`] reports the storage win.
     pub fn csc(mut self, on: bool) -> Self {
         self.csc_enabled = on;
         self
@@ -148,10 +170,9 @@ impl Accelerator {
     /// Runs one CONV or FC layer, returning bit-exact psums and measured
     /// statistics.
     ///
-    /// Buffers (PE scratchpads, psum strips, RLC code words) and the
-    /// winning mapping are reused across calls on the same chip, so
-    /// repeated layers execute allocation-free and search-free in steady
-    /// state.
+    /// Buffers (the psum strip, RLC code words) and the winning mapping
+    /// are reused across calls on the same chip, so repeated layers
+    /// execute allocation-free and search-free in steady state.
     ///
     /// # Errors
     ///
@@ -212,12 +233,11 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Fails if the mapping exceeds a scratchpad or buffer capacity.
+    /// Fails under [`Accelerator::run_conv_mapped`]'s conditions.
     ///
     /// # Panics
     ///
-    /// Panics if tensor dimensions disagree with `shape`, or the mapping
-    /// addresses coordinates outside the layer.
+    /// Panics if tensor dimensions disagree with `shape`.
     pub fn run_conv_planned(
         &mut self,
         mapping: RsMapping,
@@ -238,19 +258,23 @@ impl Accelerator {
     /// mapping — the planned-execution path: a precompiled plan's
     /// winning candidate runs directly, with no repeat mapping search.
     ///
-    /// The mapping must be feasible for `shape` on this configuration
-    /// (any mapping produced by the row-stationary search against the
-    /// same hardware is); infeasible spad/buffer demands surface as
-    /// [`SimError`]s.
+    /// Counts come from the pass walk, values from the layer kernel (see
+    /// the [module docs](self)). The walk depends only on the per-group
+    /// shape, so a grouped layer walks once and charges every group its
+    /// counts; the kernel runs once per group, over that group's slice of
+    /// the shared tensors.
     ///
     /// # Errors
     ///
-    /// Fails if the mapping exceeds a scratchpad or buffer capacity.
+    /// Fails if the mapping does not fit this configuration
+    /// ([`RsMapping::fits`]: a zero factor, more PE rows or columns than
+    /// the array has, or more RF words than a PE holds), or if a pass
+    /// exceeds a scratchpad or buffer capacity. Any mapping the
+    /// row-stationary search produces against the same hardware runs.
     ///
     /// # Panics
     ///
-    /// Panics if tensor dimensions disagree with `shape`, or the mapping
-    /// addresses coordinates outside the layer.
+    /// Panics if tensor dimensions disagree with `shape`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_conv_mapped(
         &mut self,
@@ -273,37 +297,63 @@ impl Accelerator {
             "filter dims mismatch"
         );
         assert_eq!(bias.len(), shape.m, "bias length mismatch");
+        if !mapping.fits(shape, &self.config) {
+            let grid = self.config.grid;
+            return Err(SimError::new(format!(
+                "{mapping:?} does not fit a {}x{} array with {} RF words per PE",
+                grid.rows,
+                grid.cols,
+                self.config.rf_words_per_pe()
+            )));
+        }
 
         let _layer_span = self.tele.span_with("sim.layer", "sim", n_batch as u64);
-        // Grouped layers execute as `groups` sequential sub-runs over the
-        // per-group shape, each engine addressing its own channel/filter
-        // slice of the shared tensors. Ungrouped layers are the G = 1 case.
         let per_group = shape.per_group();
+        let walk = PassWalk::new(self, &per_group, n_batch, mapping).run()?;
         let mut psums = Tensor4::zeros([n_batch, shape.m, shape.e, shape.e]);
         let mut stats = SimStats::default();
         for g in 0..shape.groups {
-            let mut engine = Engine::new(
-                self,
-                scratch,
-                &per_group,
+            let group = GroupSlice {
+                shape: &per_group,
                 n_batch,
-                mapping,
+                chan_base: g * per_group.c,
+                filt_base: g * per_group.m,
+            };
+            group.convolve(input, weights, &mut scratch.row_acc, &mut psums);
+            let (pe, csc) = group.pe_counts(
                 input,
                 weights,
-                &mut psums,
-                g * per_group.c,
-                g * per_group.m,
+                self.zero_gating || self.csc_enabled,
+                self.csc_enabled,
             );
-            engine.run()?;
-            stats.merge(&engine.stats);
+            stats.merge(&walk.group_stats(&pe, csc, self.mesh_model));
         }
+        let run = LayerRun {
+            psums,
+            stats,
+            mapping,
+        };
+        Ok(self.finish(scratch, run, input, weights, bias))
+    }
+
+    /// The layer-level tail of a run: adds the bias and prices the
+    /// tensors the chip stores compressed.
+    fn finish(
+        &self,
+        scratch: &mut SimScratch,
+        mut run: LayerRun,
+        input: &Tensor4<Fix16>,
+        weights: &Tensor4<Fix16>,
+        bias: &[Fix16],
+    ) -> LayerRun {
         // Bias is added once per ofmap value; the paper's accounting
         // ignores its (negligible) movement energy.
+        let [n_batch, _, e, _] = run.psums.dims();
         for z in 0..n_batch {
             for (f, bf) in bias.iter().enumerate() {
                 let b = bf.to_accum();
-                for x in 0..shape.e {
-                    for p in psums.row_mut(z, f, x) {
+                for x in 0..e {
+                    for p in run.psums.row_mut(z, f, x) {
                         *p = p.wrapping_add(b);
                     }
                 }
@@ -331,23 +381,20 @@ impl Accelerator {
                 // materialized ofmap tensor, identical arithmetic to
                 // `reference::quantize(&psums, true)`.
                 let out_len = rlc::encode_stream(
-                    psums.iter().map(|&p| Fix16::from_accum(p).relu()),
+                    run.psums.iter().map(|&p| Fix16::from_accum(p).relu()),
                     &mut scratch.rlc_words,
                 );
                 rlc::ratio_of(out_len, &scratch.rlc_words)
             } else {
                 1.0
             };
-            let compressed = stats.profile.ifmap.dram_reads / in_ratio
-                + stats.profile.filter.dram_reads / filt_ratio
-                + stats.profile.psum.dram_writes / out_ratio;
-            stats.dram_compressed_words = Some(compressed.round() as u64);
+            let profile = &run.stats.profile;
+            let compressed = profile.ifmap.dram_reads / in_ratio
+                + profile.filter.dram_reads / filt_ratio
+                + profile.psum.dram_writes / out_ratio;
+            run.stats.dram_compressed_words = Some(compressed.round() as u64);
         }
-        Ok(LayerRun {
-            psums,
-            stats,
-            mapping,
-        })
+        run
     }
 
     /// Runs a POOL layer by swapping the MAC for a MAX comparison
@@ -380,79 +427,55 @@ impl Accelerator {
     }
 }
 
-/// Internal per-layer execution state. All reusable buffers live in the
-/// borrowed [`SimScratch`]; the engine itself only allocates the output
-/// tensor it returns.
-struct Engine<'a> {
+/// The pass walk of one group: every processing pass of the mapping's
+/// folding schedule, in the chip's loop order, with each pass's access
+/// counts in closed form. It reads no tensor, so every group of a layer
+/// walks alike.
+struct PassWalk<'a> {
     shape: &'a LayerShape,
     n_batch: usize,
     mapping: RsMapping,
-    input: &'a Tensor4<Fix16>,
-    weights: &'a Tensor4<Fix16>,
-    out: &'a mut Tensor4<i32>,
-    /// First input channel of this engine's group slice.
-    chan_base: usize,
-    /// First filter of this engine's group slice.
-    filt_base: usize,
-    csc_enabled: bool,
-    mesh: Option<HierarchicalMesh>,
-    scratch: &'a mut SimScratch,
-    grid_cols: usize,
-    stats: SimStats,
     folds: (usize, usize, usize, usize),
-    filters_from_dram: bool,
+    rf_words: usize,
     dram: DramModel,
-    pending_dram_words: u64,
     tele: &'a Telemetry,
+    glb: GlobalBuffer,
+    /// Buffer and DRAM traffic, cycles and stalls.
+    stats: SimStats,
+    filter_noc: NocStats,
+    ifmap_noc: NocStats,
+    psum_noc: NocStats,
+    /// Filter spad fills, summed over PEs.
+    filter_writes: u64,
+    pending_dram_words: u64,
 }
 
-impl<'a> Engine<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> PassWalk<'a> {
     fn new(
         acc: &'a Accelerator,
-        scratch: &'a mut SimScratch,
         shape: &'a LayerShape,
         n_batch: usize,
         mapping: RsMapping,
-        input: &'a Tensor4<Fix16>,
-        weights: &'a Tensor4<Fix16>,
-        out: &'a mut Tensor4<i32>,
-        chan_base: usize,
-        filt_base: usize,
     ) -> Self {
-        let rf_words = acc.config.rf_words_per_pe();
-        let grid = acc.config.grid;
-        scratch.prepare(
-            grid.count(),
-            rf_words,
-            rf_words,
-            acc.zero_gating,
-            acc.config.buffer_words(),
-        );
-        let folds = mapping.fold_counts(shape, n_batch);
-        Engine {
+        PassWalk {
             shape,
             n_batch,
             mapping,
-            input,
-            weights,
-            out,
-            chan_base,
-            filt_base,
-            csc_enabled: acc.csc_enabled,
-            mesh: acc.mesh_model,
-            scratch,
-            grid_cols: grid.cols,
-            stats: SimStats::default(),
-            folds,
-            filters_from_dram: !mapping.filter_resident,
+            folds: mapping.fold_counts(shape, n_batch),
+            rf_words: acc.config.rf_words_per_pe(),
             dram: acc.dram,
-            pending_dram_words: 0,
             tele: &acc.tele,
+            glb: GlobalBuffer::new(acc.config.buffer_words()),
+            stats: SimStats::default(),
+            filter_noc: NocStats::default(),
+            ifmap_noc: NocStats::default(),
+            psum_noc: NocStats::default(),
+            filter_writes: 0,
+            pending_dram_words: 0,
         }
     }
 
-    fn run(&mut self) -> Result<(), SimError> {
+    fn run(mut self) -> Result<Self, SimError> {
         let (ngs, mgs, cgs, sgs) = self.folds;
         if self.mapping.filter_resident {
             for mg in 0..mgs {
@@ -462,10 +485,10 @@ impl<'a> Engine<'a> {
                         self.reserve_strip_psums(mg, ng, sg, false)?;
                         for cg in 0..cgs {
                             self.stage_ifmap_slice(ng, sg, cg)?;
-                            self.run_pass(mg, ng, sg, cg)?;
+                            self.pass(mg, ng, sg, cg)?;
                         }
                         self.writeback_strip(mg..mg + 1, ng, sg);
-                        self.scratch.glb.release_psums();
+                        self.glb.release_psums();
                     }
                 }
             }
@@ -476,87 +499,61 @@ impl<'a> Engine<'a> {
                     for cg in 0..cgs {
                         self.stage_ifmap_slice(ng, sg, cg)?;
                         for mg in 0..mgs {
-                            self.run_pass(mg, ng, sg, cg)?;
+                            self.pass(mg, ng, sg, cg)?;
                         }
                     }
                     self.writeback_strip(0..mgs, ng, sg);
-                    self.scratch.glb.release_psums();
+                    self.glb.release_psums();
                 }
             }
         }
-        // Fold PE counters into the profile.
-        let mut pe_total = crate::pe::PeStats::default();
-        for pe in &self.scratch.pes {
-            pe_total.merge(&pe.stats);
-        }
-        self.stats.macs = pe_total.macs;
-        self.stats.skipped_macs = pe_total.skipped_macs;
-        self.stats.profile.alu_ops = pe_total.macs as f64;
-        self.stats.profile.ifmap.rf_reads = pe_total.ifmap_reads as f64;
-        self.stats.profile.filter.rf_reads = pe_total.filter_reads as f64;
-        self.stats.profile.filter.rf_writes = pe_total.filter_writes as f64;
-        self.stats.profile.psum.rf_reads = pe_total.psum_reads as f64;
-        self.stats.profile.psum.rf_writes = pe_total.psum_writes as f64;
-        let filter_hops = self.scratch.filter_bus.stats.word_hops as f64;
-        let ifmap_hops = self.scratch.ifmap_bus.stats.word_hops as f64;
-        let psum_hops = self.scratch.chain.stats.word_hops as f64;
-        if let Some(mesh) = self.mesh {
-            // The v1 buses counted delivery hops; rides over the mesh keep
-            // those as local hops and add the routing factor's excess as
-            // router traversals, so the charged array cost is
-            // hops x factor — the same closed form the flex-rs analytical
-            // profiles use.
-            let mut ms = MeshStats {
-                transactions: self.scratch.filter_bus.stats.transactions
-                    + self.scratch.ifmap_bus.stats.transactions
-                    + self.scratch.chain.stats.transactions,
-                ..MeshStats::default()
-            };
-            mesh.charge_bus(&mut ms, filter_hops);
-            mesh.charge_bus(&mut ms, ifmap_hops);
-            mesh.charge_bus(&mut ms, psum_hops);
-            let factor = mesh.routing_factor();
-            self.stats.profile.filter.array_hops = filter_hops * factor;
-            self.stats.profile.ifmap.array_hops = ifmap_hops * factor;
-            self.stats.profile.psum.array_hops = psum_hops * factor;
-            self.stats.mesh = Some(ms);
-        } else {
-            self.stats.profile.filter.array_hops = filter_hops;
-            self.stats.profile.ifmap.array_hops = ifmap_hops;
-            self.stats.profile.psum.array_hops = psum_hops;
-        }
-        if self.csc_enabled {
-            self.stats.csc = Some(self.csc_storage());
-        }
-        self.stats.dram_raw_words =
-            (self.stats.profile.dram_reads() + self.stats.profile.dram_writes()).round() as u64;
-        debug_assert!(self.stats.profile.is_valid());
-        Ok(())
+        Ok(self)
     }
 
-    /// CSC storage accounting over this engine's slice of the tensors:
-    /// every ifmap row of its input channels and every filter row of its
-    /// filter group, priced dense vs. encoded.
-    fn csc_storage(&self) -> CscStats {
-        let mut cs = CscStats::default();
-        let s = self.shape;
-        for z in 0..self.n_batch {
-            for c in 0..s.c {
-                for hh in 0..s.h {
-                    let row = self.input.row(z, self.chan_base + c, hh);
-                    cs.add_row(row.len(), csc::row_nnz(row));
-                }
+    /// One group's [`SimStats`]: the walk's counts plus the group's PE
+    /// counters and CSC storage, with array hops charged over `mesh` when
+    /// the chip has one.
+    fn group_stats(
+        &self,
+        pe: &PeStats,
+        csc: Option<CscStats>,
+        mesh: Option<HierarchicalMesh>,
+    ) -> SimStats {
+        let mut stats = self.stats.clone();
+        stats.macs = pe.macs;
+        stats.skipped_macs = pe.skipped_macs;
+        let p = &mut stats.profile;
+        p.alu_ops = pe.macs as f64;
+        p.ifmap.rf_reads = pe.ifmap_reads as f64;
+        p.filter.rf_reads = pe.filter_reads as f64;
+        p.filter.rf_writes = self.filter_writes as f64;
+        p.psum.rf_reads = pe.psum_reads as f64;
+        p.psum.rf_writes = pe.psum_writes as f64;
+        // The v1 buses counted delivery hops; rides over the mesh keep
+        // those as local hops and add the routing factor's excess as
+        // router traversals, so the charged array cost is hops x factor —
+        // the same closed form the flex-rs analytical profiles use.
+        let nocs = [self.filter_noc, self.ifmap_noc, self.psum_noc];
+        let [filter_hops, ifmap_hops, psum_hops] = nocs.map(|noc| noc.word_hops as f64);
+        let factor = mesh.map_or(1.0, |mesh| mesh.routing_factor());
+        p.filter.array_hops = filter_hops * factor;
+        p.ifmap.array_hops = ifmap_hops * factor;
+        p.psum.array_hops = psum_hops * factor;
+        stats.mesh = mesh.map(|mesh| {
+            let mut ms = MeshStats {
+                transactions: nocs.iter().map(|noc| noc.transactions).sum(),
+                ..MeshStats::default()
+            };
+            for hops in [filter_hops, ifmap_hops, psum_hops] {
+                mesh.charge_bus(&mut ms, hops);
             }
-        }
-        for f in 0..s.m {
-            for c in 0..s.c {
-                for i in 0..s.r {
-                    let row = self.weights.row(self.filt_base + f, c, i);
-                    cs.add_row(row.len(), csc::row_nnz(row));
-                }
-            }
-        }
-        cs
+            ms
+        });
+        stats.csc = csc;
+        stats.dram_raw_words =
+            (stats.profile.dram_reads() + stats.profile.dram_writes()).round() as u64;
+        debug_assert!(stats.profile.is_valid());
+        stats
     }
 
     /// Loads a filter group (all channels) into the buffer, once per group.
@@ -568,7 +565,7 @@ impl<'a> Engine<'a> {
         }
         self.stats.profile.filter.dram_reads += words as f64;
         self.pending_dram_words += words as u64;
-        self.scratch.glb.stage_filters(words)
+        self.glb.stage_filters(words)
     }
 
     /// Reserves the strip's psum tile in the buffer (only needed when the
@@ -594,9 +591,7 @@ impl<'a> Engine<'a> {
                 .map(|sh| self.mapping.filters_of(self.shape, mg, sh).len())
                 .sum()
         };
-        self.scratch
-            .glb
-            .reserve_psums(imgs * filters * rows * self.shape.e)
+        self.glb.reserve_psums(imgs * filters * rows * self.shape.e)
     }
 
     /// Fetches the ifmap rows a (batch group, strip, channel group) pass
@@ -612,197 +607,95 @@ impl<'a> Engine<'a> {
         let words = imgs * channels * rows_needed * self.shape.h;
         self.stats.profile.ifmap.dram_reads += words as f64;
         self.pending_dram_words += words as u64;
-        self.scratch.glb.stage_ifmap(words)
+        self.glb.stage_ifmap(words)
     }
 
-    /// Executes one processing pass: filter loads, ifmap multicast, the
-    /// 1-D primitives, vertical accumulation and psum folding.
-    ///
-    /// The pass is allocation-free: ifmap and filter rows are borrowed
-    /// straight out of the tensors (contiguous innermost rows), and the
-    /// psum strip is the scratch arena's, zeroed per use.
-    fn run_pass(&mut self, mg: usize, ng: usize, sg: usize, cg: usize) -> Result<(), SimError> {
+    /// Counts one processing pass: filter loads, ifmap multicast, vertical
+    /// accumulation and psum folding, each a closed form of the pass's
+    /// channel sets (one per vertical set) and filter sets (one per
+    /// horizontal set).
+    fn pass(&mut self, mg: usize, ng: usize, sg: usize, cg: usize) -> Result<(), SimError> {
         let _span = self.tele.span("sim.pass", "sim");
-        let shape = *self.shape;
-        let map = self.mapping;
+        let (shape, map) = (*self.shape, self.mapping);
         let (_, _, cgs, _) = self.folds;
-        let imgs = map.images_of(self.n_batch, ng);
-        let yrows = map.ofmap_rows_of(&shape, sg);
-        let e_cols = yrows.len();
-        if e_cols == 0 || imgs.is_empty() {
-            return Ok(());
-        }
-        let (r_filt, u, e_dim, h) = (shape.r, shape.u, shape.e, shape.h);
-        let grid_cols = self.grid_cols;
-        // Split borrows: the scratch's buffers, the engine's counters and
-        // the borrowed tensors are disjoint places, so the inner loops
-        // index PEs and tensor rows directly with no per-row copies.
-        let SimScratch {
-            pes,
-            row_acc,
-            csc_values,
-            csc_indices,
-            glb,
-            filter_bus,
-            ifmap_bus,
-            chain,
-            ..
-        } = &mut *self.scratch;
-        let stats = &mut self.stats;
-        let (input, weights, out) = (self.input, self.weights, &mut *self.out);
-        let (chan_base, filt_base, csc_on) = (self.chan_base, self.filt_base, self.csc_enabled);
-
-        // ---- reset and load stationary filter rows -------------------------
+        let imgs = map.images_of(self.n_batch, ng).len();
+        let e_cols = map.ofmap_rows_of(&shape, sg).len();
+        let (r, u, e, h) = (shape.r, shape.u, shape.e, shape.h);
+        let (mut chans, mut max_chans, mut live_sets) = (0, 0, 0);
         for sv in 0..map.r {
-            for i in 0..r_filt {
-                for sh in 0..map.t {
-                    for yy in 0..e_cols {
-                        pes[(sv * r_filt + i) * grid_cols + sh * map.e + yy].reset_pass();
-                    }
-                }
-            }
+            let n = map.channels_of(&shape, cg, sv).len();
+            chans += n;
+            max_chans = max_chans.max(n);
+            live_sets += usize::from(n > 0);
         }
-        for sv in 0..map.r {
-            let cs = map.channels_of(&shape, cg, sv);
-            for sh in 0..map.t {
-                let fs = map.filters_of(&shape, mg, sh);
-                for i in 0..r_filt {
-                    for f in fs.clone() {
-                        for c in cs.clone() {
-                            if self.filters_from_dram {
-                                stats.profile.filter.dram_reads += r_filt as f64;
-                                self.pending_dram_words += r_filt as u64;
-                            } else {
-                                glb.read_words(r_filt);
-                                stats.profile.filter.buffer_reads += r_filt as f64;
-                            }
-                            filter_bus.multicast(r_filt, e_cols);
-                            let row = weights.row(filt_base + f, c, i);
-                            for yy in 0..e_cols {
-                                pes[(sv * r_filt + i) * grid_cols + sh * map.e + yy]
-                                    .load_filter_row(row)
-                                    .map_err(|over| {
-                                        SimError::new(format!(
-                                            "filter spad overflow by {over} words"
-                                        ))
-                                    })?;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- ifmap multicast (diagonal within sets, shared across t) -------
-        let rows_needed = (e_cols - 1) * u + r_filt;
-        for sv in 0..map.r {
-            let cs = map.channels_of(&shape, cg, sv);
-            for _z in imgs.clone() {
-                for _c in cs.clone() {
-                    for local_h in 0..rows_needed {
-                        let consumers = (0..e_cols)
-                            .filter(|yy| local_h >= u * yy && local_h - u * yy < r_filt)
-                            .count();
-                        if consumers == 0 {
-                            continue;
-                        }
-                        glb.read_words(h);
-                        stats.profile.ifmap.buffer_reads += h as f64;
-                        ifmap_bus.multicast(h, consumers * map.t);
-                    }
-                }
-            }
-        }
-
-        // ---- compute: 1-D primitives + vertical accumulation ---------------
-        // As in the hardware PE, the ifmap row is the outer loop and the
-        // PE's interleaved filters the inner one: each row is looked up
-        // (and, on a CSC chip, encoded) once and slid under every filter
-        // of the set, filter `f` accumulating into row `f - fs.start` of
-        // the `row_acc` strip.
-        let mut max_set_ops = 0u64;
+        let (mut filters, mut max_filters) = (0, 0);
         for sh in 0..map.t {
-            let fs = map.filters_of(&shape, mg, sh);
-            if fs.is_empty() {
-                // A set past the layer's last filter idles this pass.
-                continue;
-            }
-            for (yy, y) in yrows.clone().enumerate() {
-                for z in imgs.clone() {
-                    row_acc.clear();
-                    row_acc.resize(fs.len() * e_dim, 0);
-                    let mut chain_len = 0usize;
-                    for sv in 0..map.r {
-                        let cs = map.channels_of(&shape, cg, sv);
-                        if cs.is_empty() {
-                            continue;
-                        }
-                        chain_len += r_filt;
-                        // Spad distance between one channel's rows of
-                        // consecutive filters (the load order above).
-                        let filter_step = cs.len() * r_filt;
-                        for i in 0..r_filt {
-                            let pe = &mut pes[(sv * r_filt + i) * grid_cols + sh * map.e + yy];
-                            for c in cs.clone() {
-                                let row = input.row(z, chan_base + c, u * y + i);
-                                let rows = FilterRows {
-                                    first: (c - cs.start) * r_filt,
-                                    step: filter_step,
-                                    count: fs.len(),
-                                };
-                                if csc_on {
-                                    csc::encode_row_into(row, csc_values, csc_indices);
-                                    for (k, acc) in row_acc.chunks_exact_mut(e_dim).enumerate() {
-                                        pe.run_primitive_csc(
-                                            rows.first + k * rows.step,
-                                            csc_values,
-                                            csc_indices,
-                                            row.len(),
-                                            u,
-                                            true,
-                                            acc,
-                                        );
-                                    }
-                                } else {
-                                    pe.run_group(rows, row, u, true, row_acc, e_dim);
-                                }
-                            }
-                        }
-                    }
-                    for (f, acc) in fs.clone().zip(row_acc.chunks_exact(e_dim)) {
-                        if chain_len > 0 {
-                            chain.accumulate(e_dim, chain_len);
-                        }
-                        // Fold into the strip psums (through the buffer when
-                        // the accumulation spans channel groups).
-                        if cgs > 1 {
-                            if cg > 0 {
-                                glb.read_words(e_dim);
-                                stats.profile.psum.buffer_reads += e_dim as f64;
-                            }
-                            if cg + 1 < cgs {
-                                glb.write_words(e_dim);
-                                stats.profile.psum.buffer_writes += e_dim as f64;
-                            }
-                        }
-                        for (o, v) in out.row_mut(z, filt_base + f, y).iter_mut().zip(acc) {
-                            *o = o.wrapping_add(*v);
-                        }
-                    }
-                }
-            }
-            // Busiest set bounds the pass latency.
-            let set_ops = (imgs.len() * fs.len() * e_dim * r_filt) as u64
-                * (0..map.r)
-                    .map(|sv| map.channels_of(&shape, cg, sv).len())
-                    .max()
-                    .unwrap_or(0) as u64;
-            max_set_ops = max_set_ops.max(set_ops);
+            let n = map.filters_of(&shape, mg, sh).len();
+            filters += n;
+            max_filters = max_filters.max(n);
         }
-        stats.cycles += max_set_ops;
-        // Double buffering overlaps this pass's DRAM traffic with its
-        // compute; only the excess stalls the array.
-        stats.stall_cycles += self.dram.stall_cycles(self.pending_dram_words, max_set_ops);
+
+        // Filter loads: one R-word row per (channel, filter, filter row)
+        // of the pass, read from the buffer (or streamed from DRAM when
+        // the ifmap is resident) and multicast along its PE row to the
+        // strip's `e_cols` PEs, each writing it into its spad. A PE holds
+        // the rows of its vertical set's channels x horizontal set's
+        // filters; the first row past the spad overflows it.
+        if max_chans * max_filters * r > self.rf_words {
+            let over = (self.rf_words / r + 1) * r - self.rf_words;
+            return Err(SimError::new(format!(
+                "filter spad overflow by {over} words"
+            )));
+        }
+        let loads = chans * filters * r;
+        let words = loads * r;
+        if map.filter_resident {
+            self.glb.read_words(words);
+            self.stats.profile.filter.buffer_reads += words as f64;
+        } else {
+            self.stats.profile.filter.dram_reads += words as f64;
+            self.pending_dram_words += words as u64;
+        }
+        self.filter_noc.multicast(loads, r, loads * e_cols);
+        self.filter_writes += (words * e_cols) as u64;
+
+        // Ifmap multicast, per (image, channel): each of the rows the
+        // strip's windows cover is read once and multicast diagonally to
+        // the PEs whose window holds it, in every horizontal set. The
+        // windows, `u` rows apart, cover `(e_cols - 1) * min(u, R) + R`
+        // rows and hold `R` rows each.
+        let planes = imgs * chans;
+        let rows = planes * ((e_cols - 1) * u.min(r) + r);
+        self.glb.read_words(rows * h);
+        self.stats.profile.ifmap.buffer_reads += (rows * h) as f64;
+        self.ifmap_noc
+            .multicast(rows, h, planes * e_cols * r * map.t);
+
+        // Vertical accumulation: each filter's psum row, per ofmap row
+        // and image, climbs the column through the R PEs of every live
+        // vertical set, then folds into the strip psums — through the
+        // buffer when the accumulation spans channel groups.
+        let psum_rows = filters * e_cols * imgs;
+        if live_sets > 0 {
+            self.psum_noc.accumulate(psum_rows, e, r * live_sets);
+        }
+        if cgs > 1 {
+            if cg > 0 {
+                self.glb.read_words(psum_rows * e);
+                self.stats.profile.psum.buffer_reads += (psum_rows * e) as f64;
+            }
+            if cg + 1 < cgs {
+                self.glb.write_words(psum_rows * e);
+                self.stats.profile.psum.buffer_writes += (psum_rows * e) as f64;
+            }
+        }
+
+        // The busiest set bounds the pass latency. Double buffering
+        // overlaps this pass's DRAM traffic with its compute; only the
+        // excess stalls the array.
+        let cycles = (imgs * max_filters * e * r * max_chans) as u64;
+        self.stats.cycles += cycles;
+        self.stats.stall_cycles += self.dram.stall_cycles(self.pending_dram_words, cycles);
         self.pending_dram_words = 0;
         Ok(())
     }
@@ -821,6 +714,142 @@ impl<'a> Engine<'a> {
         self.stats.profile.psum.dram_writes += words as f64;
         self.pending_dram_words += words as u64;
     }
+}
+
+/// One group's slice of a layer: the per-group shape, and the first input
+/// channel and filter of the shared tensors it addresses.
+struct GroupSlice<'a> {
+    shape: &'a LayerShape,
+    n_batch: usize,
+    chan_base: usize,
+    filt_base: usize,
+}
+
+impl GroupSlice<'_> {
+    /// The layer kernel: writes the group's psums into `out`. Per (image,
+    /// ofmap row), each of the `R` ifmap rows of each channel slides
+    /// under all `M` filters in one kernel call, into the `M x E` `strip`.
+    /// An FC layer has one window per filter, so each filter is one dot
+    /// product of the image's `C x R x R` words.
+    fn convolve(
+        &self,
+        input: &Tensor4<Fix16>,
+        weights: &Tensor4<Fix16>,
+        strip: &mut Vec<i32>,
+        out: &mut Tensor4<i32>,
+    ) {
+        let LayerShape { m, c, r, u, e, .. } = *self.shape;
+        let filter_words = c * r * r;
+        let w = weights.as_slice();
+        strip.clear();
+        strip.resize(m * e, 0);
+        if self.shape.is_fc_shaped() {
+            let rows = FilterRows {
+                first: self.filt_base * filter_words,
+                step: filter_words,
+                count: m,
+            };
+            for z in 0..self.n_batch {
+                let first = (z * input.dims()[1] + self.chan_base) * r * r;
+                let image = &input.as_slice()[first..first + filter_words];
+                strip.fill(0);
+                pe::slide_group(w, rows, image, 1, strip, 1);
+                for (f, &acc) in strip.iter().enumerate() {
+                    out.row_mut(z, self.filt_base + f, 0)[0] = acc;
+                }
+            }
+            return;
+        }
+        for z in 0..self.n_batch {
+            for y in 0..e {
+                strip.fill(0);
+                for ch in 0..c {
+                    for i in 0..r {
+                        let row = input.row(z, self.chan_base + ch, u * y + i);
+                        let rows = FilterRows {
+                            first: ((self.filt_base * c + ch) * r + i) * r,
+                            step: filter_words,
+                            count: m,
+                        };
+                        pe::slide_group(w, rows, row, u, strip, e);
+                    }
+                }
+                for (f, acc) in strip.chunks_exact(e).enumerate() {
+                    out.row_mut(z, self.filt_base + f, y).copy_from_slice(acc);
+                }
+            }
+        }
+    }
+
+    /// The group's PE counters, and its CSC storage on a CSC chip. Every
+    /// primitive slides one ifmap row under all `M` filters, so each
+    /// visit of a row issues `M x E x R` taps. `skip_zeros` chips skip
+    /// the taps whose pixel is zero (`M x` the row's zero taps); a CSC
+    /// chip reads only the row's nonzeros (`M x` its nonzero count).
+    /// Everything else follows: filter and psum accesses are the
+    /// performed MACs.
+    fn pe_counts(
+        &self,
+        input: &Tensor4<Fix16>,
+        weights: &Tensor4<Fix16>,
+        skip_zeros: bool,
+        csc: bool,
+    ) -> (PeStats, Option<CscStats>) {
+        let s = self.shape;
+        let ops = s.macs(self.n_batch);
+        let (mut zero_taps, mut nonzeros) = (0u64, 0u64);
+        let mut storage = CscStats::default();
+        if skip_zeros {
+            for z in 0..self.n_batch {
+                for c in 0..s.c {
+                    for hh in 0..s.h {
+                        let row = input.row(z, self.chan_base + c, hh);
+                        let visits = row_visits(s, hh);
+                        if visits > 0 {
+                            zero_taps += visits * pe::zero_taps(row, s.r, s.u, s.e);
+                        }
+                        if csc {
+                            let nnz = csc::row_nnz(row);
+                            nonzeros += visits * nnz as u64;
+                            storage.add_row(row.len(), nnz);
+                        }
+                    }
+                }
+            }
+        }
+        let skipped = s.m as u64 * zero_taps;
+        let performed = ops - skipped;
+        let pe = PeStats {
+            macs: performed,
+            skipped_macs: skipped,
+            ifmap_reads: if csc { s.m as u64 * nonzeros } else { ops },
+            filter_reads: performed,
+            // Spad fills are the pass walk's count.
+            filter_writes: 0,
+            psum_reads: performed,
+            psum_writes: performed,
+        };
+        if !csc {
+            return (pe, None);
+        }
+        for f in self.filt_base..self.filt_base + s.m {
+            for c in 0..s.c {
+                for i in 0..s.r {
+                    let row = weights.row(f, c, i);
+                    storage.add_row(row.len(), csc::row_nnz(row));
+                }
+            }
+        }
+        (pe, Some(storage))
+    }
+}
+
+/// How many primitives read ifmap row `hh`: the ofmap rows `y` whose
+/// window rows `u * y..u * y + R` cover it.
+fn row_visits(shape: &LayerShape, hh: usize) -> u64 {
+    let first = (hh + 1).saturating_sub(shape.r).div_ceil(shape.u);
+    let last = (hh / shape.u).min(shape.e - 1);
+    (last + 1).saturating_sub(first) as u64
 }
 
 #[cfg(test)]
@@ -1139,6 +1168,175 @@ mod tests {
             let shrunk = LayerShape::conv(4, s.c.min(4), s.h.min(31 + s.r - 1), s.r, s.u);
             let Ok(shape) = shrunk else { continue };
             run_and_check(&shape, 1, AcceleratorConfig::eyeriss_chip());
+        }
+    }
+
+    #[test]
+    fn mappings_that_cannot_run_are_typed_errors() {
+        let shape = LayerShape::conv(4, 2, 15, 3, 1).unwrap();
+        let input = synth::ifmap(&shape, 1, 5);
+        let weights = synth::filters(&shape, 6);
+        let bias = synth::biases(&shape, 7);
+        let runs = RsMapping {
+            n: 1,
+            p: 1,
+            q: 1,
+            e: 13,
+            r: 1,
+            t: 1,
+            filter_resident: true,
+        };
+        // 26 > 14 PE columns, 15 > 12 PE rows, and no filter per PE.
+        for mapping in [
+            RsMapping { t: 2, ..runs },
+            RsMapping { r: 5, ..runs },
+            RsMapping { p: 0, ..runs },
+        ] {
+            let mut acc = Accelerator::new(AcceleratorConfig::eyeriss_chip());
+            assert!(!mapping.fits(&shape, acc.config()), "{mapping:?}");
+            let err = acc
+                .run_conv_planned(mapping, &shape, 1, &input, &weights, &bias)
+                .unwrap_err();
+            assert!(err.to_string().contains("does not fit"), "{err}");
+        }
+        let mut acc = Accelerator::new(AcceleratorConfig::eyeriss_chip());
+        let run = acc.run_conv_planned(runs, &shape, 1, &input, &weights, &bias);
+        let golden = reference::conv_accumulate(&shape, 1, &input, &weights, &bias);
+        assert_eq!(run.unwrap().psums, golden);
+    }
+
+    /// The chip in each mode the oracle comparisons cover: plain,
+    /// zero-gated, CSC, RLC and over a hierarchical mesh.
+    fn chips(config: AcceleratorConfig) -> [(&'static str, Accelerator); 5] {
+        let chip = || Accelerator::new(config);
+        let cluster = eyeriss_arch::GridDims::new(3, 1);
+        let mesh = crate::mesh::HierarchicalMesh::new(config.grid, cluster, 4).unwrap();
+        [
+            ("plain", chip()),
+            ("gated", chip().zero_gating(true)),
+            ("csc", chip().csc(true)),
+            ("rlc", chip().rlc(true)),
+            ("mesh", chip().mesh(mesh)),
+        ]
+    }
+
+    /// Runs `mapping` on `acc` and on the PE-driven oracle: the same
+    /// psums and statistics, or the same error.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_oracle(
+        label: &str,
+        acc: &mut Accelerator,
+        mapping: RsMapping,
+        shape: &LayerShape,
+        n: usize,
+        input: &Tensor4<Fix16>,
+        weights: &Tensor4<Fix16>,
+        bias: &[Fix16],
+    ) {
+        let want = oracle::run_conv_mapped(acc, mapping, shape, n, input, weights, bias);
+        let got = acc.run_conv_planned(mapping, shape, n, input, weights, bias);
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert!(got.psums == want.psums, "{label}: psums differ");
+                assert_eq!(got.stats, want.stats, "{label}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{label}"),
+            (got, want) => panic!(
+                "{label}: {:?} against the oracle's {:?}",
+                got.map(|run| run.stats),
+                want.map(|run| run.stats)
+            ),
+        }
+    }
+
+    /// A random layer of one of four kinds: strided CONV, grouped CONV,
+    /// depthwise CONV or FC.
+    fn oracle_layer(
+        (kind, a, b, r, u, e, g): (u8, usize, usize, usize, usize, usize, usize),
+    ) -> LayerShape {
+        let h = (e - 1) * u + r;
+        match kind {
+            0 => LayerShape::conv(a, b, h, r, u),
+            1 => LayerShape::conv_grouped(g * a.div_ceil(3), b.div_ceil(2), h, r, u, g),
+            2 => LayerShape::depthwise(b, h, r, u),
+            _ => LayerShape::fully_connected(a, b, r),
+        }
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The pass walk's counts and the layer kernel's psums equal the
+        /// PE-driven pass's, bit for bit, for random layers and random
+        /// mappings of the row-stationary space (both residencies, one or
+        /// more channel groups, partial last groups) on every chip mode
+        /// at sparsity 0, 1/2 and 1.
+        #[test]
+        fn prop_walk_and_kernel_match_the_pe_driven_oracle(
+            layer in (0u8..4, 1usize..=8, 1usize..=6, 1usize..=5, 1usize..=3, 1usize..=8, 2usize..=3),
+            n in 1usize..=3,
+            halves in 0u8..=2,
+            picks in (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<usize>()),
+            full_chip in proptest::arbitrary::any::<bool>(),
+        ) {
+            let shape = oracle_layer(layer);
+            let config = if full_chip { AcceleratorConfig::eyeriss_chip() } else { small_chip() };
+            let problem = eyeriss_nn::LayerProblem::new(shape, n);
+            let rs = eyeriss_dataflow::registry::builtin(eyeriss_dataflow::DataflowKind::RowStationary);
+            let candidates = rs.enumerate(&problem, &config);
+            proptest::prop_assume!(!candidates.is_empty());
+            let input = synth::sparse_ifmap(&shape, n, picks.0 as u64, f64::from(halves) / 2.0);
+            let weights = synth::filters(&shape, 3);
+            let bias = synth::biases(&shape, 4);
+            for pick in [picks.0, picks.1] {
+                let params = &candidates[pick % candidates.len()].params;
+                let mapping = RsMapping::from_params(params).unwrap();
+                for (mode, mut acc) in chips(config) {
+                    let label = format!("{shape:?} n={n} {mapping:?} {mode}");
+                    assert_matches_oracle(&label, &mut acc, mapping, &shape, n, &input, &weights, &bias);
+                }
+            }
+        }
+    }
+
+    /// Every distinct AlexNet (dense and grouped) and MobileNet-v1 layer
+    /// at full size, at batch 1 and 4, under its searched mapping on the
+    /// chip in every mode: the same psums and statistics as the
+    /// PE-driven oracle. Run in release:
+    /// `cargo test --release -p eyeriss-sim --lib -- --ignored`.
+    #[test]
+    #[ignore = "full-size corpus; run in release with --ignored"]
+    fn full_size_layers_match_the_pe_driven_oracle() {
+        let config = AcceleratorConfig::eyeriss_chip();
+        let mut shapes: Vec<LayerShape> = Vec::new();
+        let layers = alexnet::all_layers()
+            .into_iter()
+            .chain(alexnet::grouped_conv_layers())
+            .chain(eyeriss_nn::mobilenet::mobilenet_v1());
+        for layer in layers {
+            if !shapes.contains(&layer.shape) {
+                shapes.push(layer.shape);
+            }
+        }
+        for shape in &shapes {
+            for n in [1, 4] {
+                let input = synth::sparse_ifmap(shape, n, 21, 0.5);
+                let weights = synth::filters(shape, 22);
+                let bias = synth::biases(shape, 23);
+                let mapping = RsMapping::plan(shape, n, &config).unwrap();
+                std::thread::scope(|s| {
+                    for (mode, mut acc) in chips(config) {
+                        let (input, weights, bias) = (&input, &weights, &bias);
+                        s.spawn(move || {
+                            let label = format!("{shape:?} n={n} {mode}");
+                            assert_matches_oracle(
+                                &label, &mut acc, mapping, shape, n, input, weights, bias,
+                            );
+                        });
+                    }
+                });
+            }
         }
     }
 }

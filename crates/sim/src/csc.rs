@@ -8,11 +8,13 @@
 //! vector, its CSC format) and the PE iterates nonzeros directly, so zero
 //! MACs are never even issued. This module provides the row codec and the
 //! storage accounting; the PE-side iteration lives in
-//! [`Pe::run_primitive_csc`](crate::pe::Pe::run_primitive_csc).
+//! [`Pe::run_primitive_csc`](crate::pe::Pe::run_primitive_csc). A CSC chip
+//! run needs only each row's nonzero count ([`row_nnz`]): its psums equal
+//! the dense kernel's, and its counters are closed forms of the count.
 //!
-//! The encoder writes into caller-owned buffers (the [`crate::SimScratch`]
-//! arena), keeping the steady-state execute path allocation-free, exactly
-//! like the RLC codec it sits beside.
+//! The encoder writes into caller-owned buffers, so a caller that reuses
+//! them encodes allocation-free, exactly like the RLC codec it sits
+//! beside.
 
 use eyeriss_nn::{Fix16, Tensor4};
 

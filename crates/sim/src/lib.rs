@@ -24,12 +24,14 @@
 //! * [`passes`] — the two-phase mapping: logical PE sets folded into
 //!   processing passes (Section V-B), derived from the same mapping
 //!   optimizer the analysis framework uses.
-//! * [`chip`] — the accelerator: pass orchestration, CONV/FC/POOL layers.
+//! * [`chip`] — the accelerator: CONV/FC layers as a pass walk that counts
+//!   every access in closed form plus a layer kernel that computes the
+//!   psums, and POOL layers.
 //! * [`fault`] — deterministic, seeded fault injection (bit flips, stalls,
 //!   crashes) for chaos testing the cluster and serving layers.
-//! * [`scratch`] — the reusable simulation arena: PE pools, psum strips
-//!   and RLC buffers recycled across passes, layers and runs so the
-//!   steady-state execute path is allocation-free.
+//! * [`scratch`] — the reusable simulation arena: the psum strip and RLC
+//!   buffers recycled across layers and runs so the steady-state execute
+//!   path is allocation-free.
 //! * [`stats`] — measured access counts, cycles and sparsity statistics.
 //!
 //! # Example

@@ -6,7 +6,9 @@
 //! all PEs whose tag matches; here the tag sets are computed from the
 //! mapping (horizontal rows for filters — Fig. 6a, diagonals for ifmaps —
 //! Fig. 6b, columns for psums — Fig. 6c) and the networks count word
-//! deliveries (array-level hops in the Table IV accounting).
+//! deliveries (array-level hops in the Table IV accounting). The pass
+//! walk records a whole pass's traffic on a network in one counted
+//! update.
 
 /// Counters for one network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,66 +19,33 @@ pub struct NocStats {
     pub word_hops: u64,
 }
 
-/// A multicast bus: one source transaction delivers `words` to each of
-/// `receivers` PEs.
-#[derive(Debug, Clone, Default)]
-pub struct MulticastBus {
-    /// Delivery counters.
-    pub stats: NocStats,
-}
-
-impl MulticastBus {
-    /// Creates an idle bus.
-    pub fn new() -> Self {
-        MulticastBus::default()
-    }
-
-    /// Zeroes the delivery counters (pooled-scratch reuse).
-    pub fn reset(&mut self) {
-        self.stats = NocStats::default();
-    }
-
-    /// Records a multicast of `words` words to `receivers` PEs.
+impl NocStats {
+    /// Records `transactions` multicasts of `words` words each, reaching
+    /// `receivers` PEs summed over the transactions.
     ///
     /// # Panics
     ///
-    /// Panics if there are no receivers — the mapping should never
-    /// multicast into the void.
-    pub fn multicast(&mut self, words: usize, receivers: usize) {
-        assert!(receivers > 0, "multicast needs at least one receiver");
-        self.stats.transactions += 1;
-        self.stats.word_hops += (words * receivers) as u64;
-    }
-}
-
-/// The vertical psum chain: words hop PE-to-PE up a column.
-#[derive(Debug, Clone, Default)]
-pub struct PsumChain {
-    /// Delivery counters.
-    pub stats: NocStats,
-}
-
-impl PsumChain {
-    /// Creates an idle chain.
-    pub fn new() -> Self {
-        PsumChain::default()
+    /// Panics if some multicast would have no receiver (`receivers <
+    /// transactions`) — the mapping should never multicast into the void.
+    pub fn multicast(&mut self, transactions: usize, words: usize, receivers: usize) {
+        assert!(
+            receivers >= transactions,
+            "multicast needs at least one receiver"
+        );
+        self.transactions += transactions as u64;
+        self.word_hops += (words * receivers) as u64;
     }
 
-    /// Zeroes the delivery counters (pooled-scratch reuse).
-    pub fn reset(&mut self) {
-        self.stats = NocStats::default();
-    }
-
-    /// Records the spatial accumulation of a `words`-wide psum row along a
-    /// chain of `length` PEs: `length - 1` hop steps.
+    /// Records `transactions` spatial accumulations of a `words`-wide psum
+    /// row along a chain of `length` PEs: `length - 1` hop steps each.
     ///
     /// # Panics
     ///
     /// Panics if the chain is empty.
-    pub fn accumulate(&mut self, words: usize, length: usize) {
+    pub fn accumulate(&mut self, transactions: usize, words: usize, length: usize) {
         assert!(length > 0, "psum chain must contain at least one PE");
-        self.stats.transactions += 1;
-        self.stats.word_hops += (words * (length - 1)) as u64;
+        self.transactions += transactions as u64;
+        self.word_hops += (transactions * words * (length - 1)) as u64;
     }
 }
 
@@ -86,25 +55,31 @@ mod tests {
 
     #[test]
     fn multicast_counts_words_times_receivers() {
-        let mut bus = MulticastBus::new();
-        bus.multicast(11, 4);
-        bus.multicast(5, 1);
-        assert_eq!(bus.stats.transactions, 2);
-        assert_eq!(bus.stats.word_hops, 44 + 5);
+        let mut bus = NocStats::default();
+        bus.multicast(1, 11, 4);
+        bus.multicast(1, 5, 1);
+        assert_eq!(bus.transactions, 2);
+        assert_eq!(bus.word_hops, 44 + 5);
+        // Three rows to 2, 3 and 1 PEs: one counted update.
+        bus.multicast(3, 7, 6);
+        assert_eq!(bus.transactions, 5);
+        assert_eq!(bus.word_hops, 49 + 42);
     }
 
     #[test]
     fn chain_counts_length_minus_one() {
-        let mut chain = PsumChain::new();
-        chain.accumulate(13, 3);
-        assert_eq!(chain.stats.word_hops, 26);
-        chain.accumulate(13, 1); // single PE: no hops
-        assert_eq!(chain.stats.word_hops, 26);
+        let mut chain = NocStats::default();
+        chain.accumulate(1, 13, 3);
+        assert_eq!(chain.word_hops, 26);
+        chain.accumulate(1, 13, 1); // single PE: no hops
+        assert_eq!(chain.word_hops, 26);
+        chain.accumulate(4, 13, 3);
+        assert_eq!((chain.transactions, chain.word_hops), (6, 26 * 5));
     }
 
     #[test]
     #[should_panic(expected = "at least one receiver")]
     fn empty_multicast_panics() {
-        MulticastBus::new().multicast(4, 0);
+        NocStats::default().multicast(1, 4, 0);
     }
 }

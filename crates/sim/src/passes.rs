@@ -95,15 +95,18 @@ impl RsMapping {
         })
     }
 
-    /// True when this mapping fits `hw`'s per-array resources: its
-    /// spatial footprint within the PE grid and its RF interleaving
-    /// within the scratchpads — the same feasibility constraints the
-    /// row-stationary enumerator prunes with
+    /// True when this mapping fits `hw`'s per-array resources: every
+    /// factor non-zero, its spatial footprint within the PE grid and its
+    /// RF interleaving within the scratchpads — the same feasibility
+    /// constraints the row-stationary enumerator prunes with
     /// ([`eyeriss_dataflow::rs::rf_words_needed`] is the shared RF
     /// accounting). Executors use this to screen mappings from plans
     /// compiled against a physically larger array.
     pub fn fits(&self, shape: &LayerShape, hw: &AcceleratorConfig) -> bool {
-        self.r * shape.r <= hw.grid.rows
+        [self.n, self.p, self.q, self.e, self.r, self.t]
+            .iter()
+            .all(|&f| f > 0)
+            && self.r * shape.r <= hw.grid.rows
             && self.t * self.e <= hw.grid.cols
             && eyeriss_dataflow::rs::rf_words_needed(shape, self.n, self.p, self.q)
                 <= hw.rf_words_per_pe()

@@ -6,6 +6,11 @@
 //! with the configured RF): filter rows stay stationary, ifmap pixels
 //! stream through an R-deep sliding window, and psums accumulate locally
 //! before being passed up the column.
+//!
+//! [`Pe`] models one engine on its own. The chip does not drive a pool of
+//! them: it computes a layer's psums with this module's windowed MAC
+//! kernel reading the weight tensor in place, and sets the PE counters
+//! from the same closed forms [`Pe`] uses (see [`crate::chip`]).
 
 use eyeriss_nn::Fix16;
 
@@ -100,24 +105,6 @@ impl Pe {
         self.psum_capacity
     }
 
-    /// Clears stationary state between passes (counters are kept).
-    pub fn reset_pass(&mut self) {
-        self.filter_spad.clear();
-    }
-
-    /// Re-arms a pooled PE for a fresh layer run: stationary state and
-    /// counters are cleared, capacities and gating adopt the new run's
-    /// configuration, and the scratchpad allocation is kept. After this
-    /// call the PE is indistinguishable from
-    /// `Pe::new(filter_capacity, psum_capacity)` with the gating applied.
-    pub fn reset_run(&mut self, filter_capacity: usize, psum_capacity: usize, zero_gating: bool) {
-        self.filter_spad.clear();
-        self.filter_capacity = filter_capacity;
-        self.psum_capacity = psum_capacity;
-        self.zero_gating = zero_gating;
-        self.stats = PeStats::default();
-    }
-
     /// Loads one filter row into the stationary scratchpad, returning its
     /// starting index.
     ///
@@ -148,13 +135,14 @@ impl Pe {
     /// PE's scratchpad (true for interleaved primitives) — it only affects
     /// the access counting, not the arithmetic.
     ///
-    /// The arithmetic is one windowed MAC kernel, unrolled over the taps
-    /// for the (taps, stride) pairs the published networks use and a
-    /// scalar loop for every other geometry; accumulation wraps, like the
-    /// chip's adder. Zero-gating runs the **same** kernel — a gated MAC
-    /// would have added `0 x w`, so the psums cannot differ — and its
-    /// counters are closed forms of the row's zero taps (the zero pixels
-    /// each output window covers, summed), not a per-tap tally.
+    /// The arithmetic is the windowed MAC kernel the chip computes every
+    /// psum with, unrolled over the taps for the (taps, stride) pairs the
+    /// published networks use and a scalar loop for every other
+    /// geometry; accumulation wraps, like the chip's adder. Zero-gating
+    /// runs the **same** kernel — a gated MAC would have added `0 x w`,
+    /// so the psums cannot differ — and its counters are closed forms of
+    /// the row's zero taps (the zero pixels each output window covers,
+    /// summed), not a per-tap tally.
     ///
     /// # Panics
     ///
@@ -192,20 +180,7 @@ impl Pe {
         psums: &mut [i32],
         outputs: usize,
     ) {
-        let taps = rows.taps(ifmap_row.len(), stride, psums, outputs);
-        let spad = &self.filter_spad;
-        // The kernel is picked by the primitive's own geometry: the
-        // (taps, stride) pairs of AlexNet, VGG, MobileNet's point- and
-        // depthwise layers and the served network are unrolled; anything
-        // else (FC rows, odd shapes) takes the scalar loop.
-        match (taps, stride) {
-            (1, 1) => slide::<1, 1>(spad, rows, ifmap_row, psums, outputs),
-            (3, 1) => slide::<3, 1>(spad, rows, ifmap_row, psums, outputs),
-            (3, 2) => slide::<3, 2>(spad, rows, ifmap_row, psums, outputs),
-            (5, 1) => slide::<5, 1>(spad, rows, ifmap_row, psums, outputs),
-            (11, 4) => slide::<11, 4>(spad, rows, ifmap_row, psums, outputs),
-            _ => slide_scalar(spad, rows, taps, ifmap_row, stride, psums, outputs),
-        }
+        let taps = slide_group(&self.filter_spad, rows, ifmap_row, stride, psums, outputs);
         let ops = (rows.count * outputs * taps) as u64;
         // The ifmap pixel is always read to be inspected; the filter
         // read, multiply and psum update are gated when it is zero
@@ -290,9 +265,9 @@ impl Pe {
     }
 }
 
-/// The filter rows one PE interleaves against a single ifmap row:
-/// `count` rows of the filter scratchpad, `step` words apart from
-/// `first`.
+/// The filter rows slid against a single ifmap row: `count` rows of a
+/// filter store (a PE's scratchpad, or the whole weight tensor), `step`
+/// words apart from `first`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FilterRows {
     pub(crate) first: usize,
@@ -326,6 +301,41 @@ impl FilterRows {
     }
 }
 
+/// The windowed MAC kernel under every psum the simulator computes: each
+/// of the filter `rows` of `filters` slides over `ifmap_row` with
+/// `stride`, the `k`-th accumulating into `psums[k * outputs..][..outputs]`,
+/// wrapping. Returns the taps of one window.
+///
+/// The kernel is picked by the primitive's own geometry: the (taps,
+/// stride) pairs of AlexNet, VGG, MobileNet's point- and depthwise layers
+/// and the served network are unrolled; anything else (FC rows, odd
+/// shapes) takes the scalar loop.
+///
+/// # Panics
+///
+/// Panics under [`Pe::run_group`]'s conditions, or if a filter row lies
+/// outside `filters`.
+pub(crate) fn slide_group(
+    filters: &[Fix16],
+    rows: FilterRows,
+    ifmap_row: &[Fix16],
+    stride: usize,
+    psums: &mut [i32],
+    outputs: usize,
+) -> usize {
+    let taps = rows.taps(ifmap_row.len(), stride, psums, outputs);
+    let (w, row) = (filters, ifmap_row);
+    match (taps, stride) {
+        (1, 1) => slide::<1, 1>(w, rows, row, psums, outputs),
+        (3, 1) => slide::<3, 1>(w, rows, row, psums, outputs),
+        (3, 2) => slide::<3, 2>(w, rows, row, psums, outputs),
+        (5, 1) => slide::<5, 1>(w, rows, row, psums, outputs),
+        (11, 4) => slide::<11, 4>(w, rows, row, psums, outputs),
+        _ => slide_scalar(w, rows, taps, row, stride, psums, outputs),
+    }
+    taps
+}
+
 /// The `taps` resident filter words starting at `row_index`.
 fn filter_row(spad: &[Fix16], row_index: usize, taps: usize) -> &[Fix16] {
     assert!(
@@ -336,11 +346,11 @@ fn filter_row(spad: &[Fix16], row_index: usize, taps: usize) -> &[Fix16] {
     &spad[row_index..row_index + taps]
 }
 
-/// The windowed MAC under every dense and zero-gated primitive, with
-/// taps and stride known at compile time: for each filter row `w` of
-/// the group, `psums[x] += sum_k row[x * S + k] * w[k]`, wrapping. The
-/// tap loop unrolls into one expression per output and the output loop
-/// vectorises, which a runtime-length tap loop of 3 to 11 does not.
+/// [`slide_group`] with taps and stride known at compile time: for each
+/// filter row `w` of the group, `psums[x] += sum_k row[x * S + k] * w[k]`,
+/// wrapping. The tap loop unrolls into one expression per output and the
+/// output loop vectorises, which a runtime-length tap loop of 3 to 11
+/// does not.
 fn slide<const R: usize, const S: usize>(
     spad: &[Fix16],
     rows: FilterRows,
@@ -396,7 +406,7 @@ fn slide_scalar(
 /// `m * stride..(m + outputs) * stride` — its predecessor's, less the
 /// `stride` pixels that one started on, plus the `stride` past its end.
 /// The fewer than `stride` taps left over each stride the row alone.
-fn zero_taps(row: &[Fix16], taps: usize, stride: usize, outputs: usize) -> u64 {
+pub(crate) fn zero_taps(row: &[Fix16], taps: usize, stride: usize, outputs: usize) -> u64 {
     let zeros = |pixels: &[Fix16]| pixels.iter().filter(|p| p.is_zero()).count() as u64;
     if outputs == 1 {
         // An FC row is its one window; taken a tap at a time below, a
@@ -484,33 +494,6 @@ mod tests {
         pe.set_zero_gating(true);
         pe.load_filter_row(&[Fix16::ONE; 3]).unwrap();
         pe.run_primitive(0, &[Fix16::ONE; 3], 0, true, &mut [0i32; 2]);
-    }
-
-    #[test]
-    fn reset_run_matches_a_fresh_pe() {
-        let mut pooled = Pe::new(4, 4);
-        pooled.set_zero_gating(true);
-        pooled.load_filter_row(&[Fix16::ONE; 3]).unwrap();
-        let mut acc = vec![0i32; 1];
-        pooled.run_primitive(0, &[Fix16::ONE; 3], 1, true, &mut acc);
-
-        pooled.reset_run(8, 16, false);
-        let fresh = Pe::new(8, 16);
-        assert_eq!(pooled.stats, fresh.stats);
-        assert_eq!(pooled.filter_words(), 0);
-        assert_eq!(pooled.psum_capacity(), 16);
-        // New capacity applies: 8 words now fit.
-        assert!(pooled.load_filter_row(&[Fix16::ZERO; 8]).is_ok());
-    }
-
-    #[test]
-    fn reset_pass_clears_filters_keeps_stats() {
-        let mut pe = Pe::new(8, 8);
-        pe.load_filter_row(&[Fix16::ONE; 4]).unwrap();
-        let writes = pe.stats.filter_writes;
-        pe.reset_pass();
-        assert_eq!(pe.filter_words(), 0);
-        assert_eq!(pe.stats.filter_writes, writes);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scratch-reuse bit-exactness: the allocation-free execution core must
 //! be invisible in the results.
 //!
-//! The simulator reuses PE pools, psum strips and RLC buffers across
-//! passes, layers and runs ([`eyeriss_sim::SimScratch`]), memoizes
+//! The simulator reuses its psum strip and RLC buffers across layers and
+//! runs ([`eyeriss_sim::SimScratch`]), memoizes
 //! winning mappings per chip, and the cluster executes precompiled
 //! plans' mappings directly. None of that may change a single psum bit
 //! *or* a single statistic relative to the reference discipline — a
