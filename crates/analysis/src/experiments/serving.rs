@@ -856,6 +856,13 @@ mod tests {
             "flight records precede the breach instant"
         );
         assert!(dump.records.iter().all(|r| r.latency_ns > 1));
+        // The dump's wire form parses, and its Chrome view keeps the
+        // breached requests' server-side spans.
+        let parsed = eyeriss_wire::Value::parse(&dump.to_wire().render()).unwrap();
+        eyeriss_telemetry::FlightDump::from_wire(&parsed).unwrap();
+        assert!(dump
+            .chrome_trace(&server.telemetry().snapshot())
+            .contains("serve.batch"));
         server.shutdown();
     }
 

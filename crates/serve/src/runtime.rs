@@ -1403,6 +1403,9 @@ mod tests {
         assert!(tele.spans.iter().any(|s| s.name == "sim.pass"));
         let trace = tele.chrome_trace();
         assert!(trace.contains("\"name\":\"cluster.array\""));
+        // The live server's snapshot round-trips through its wire export.
+        let parsed = eyeriss_wire::Value::parse(&tele.to_wire().render()).unwrap();
+        eyeriss_telemetry::TelemetrySnapshot::from_wire(&parsed).unwrap();
 
         let stats = server.shutdown();
         assert_eq!(stats.completed(), 6);

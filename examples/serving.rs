@@ -171,8 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         att.residual_cycles(),
     );
     // The breached SLO latched exactly one flight dump covering the
-    // anomaly window; its wire form and a trace-filtered Chrome view
-    // are what CI uploads as a post-mortem artifact.
+    // anomaly window; its wire form (`to_wire`) and a trace-filtered
+    // Chrome view (`chrome_trace`) are the post-mortem exports.
     let dumps = server.slo_monitor().dumps();
     assert_eq!(dumps.len(), 1, "one breach, one dump");
     println!(
