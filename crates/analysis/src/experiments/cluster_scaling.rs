@@ -122,7 +122,7 @@ fn point_for(
     arrays: usize,
     strategy: Option<Partition>,
     hw: &AcceleratorConfig,
-    em: &dyn CostModel,
+    em: &CostModel,
 ) -> Option<ScalingPoint> {
     let shared = SharedDram::scaled(arrays);
     let mut energy = 0.0f64;

@@ -44,7 +44,7 @@ pub fn run() -> Fig10 {
         .layers
         .iter()
         .map(|l| {
-            let report = l.report(run.cost.as_ref());
+            let report = l.report(&run.cost);
             let mut by_level = [0.0; 5];
             for (i, &level) in Level::ALL.iter().enumerate() {
                 by_level[i] = report.energy_at(level);

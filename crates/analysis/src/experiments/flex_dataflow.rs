@@ -11,7 +11,7 @@
 //! [`search::optimize`] entry point as the built-in six.
 
 use crate::table::TextTable;
-use eyeriss_arch::cost::{CostModel, TableIv};
+use eyeriss_arch::cost::TableIv;
 use eyeriss_arch::AcceleratorConfig;
 use eyeriss_dataflow::candidate::MappingParams;
 use eyeriss_dataflow::flex::FlexRsModel;

@@ -8,19 +8,18 @@
 //! halving/doubling the DRAM and buffer costs — and checks whether RS
 //! keeps winning, quantifying how much headroom the conclusion has.
 //!
-//! The perturbed models are ordinary registered [`CostModel`]s in a
-//! [`CostModelRegistry`] (not hand-built structs): the same objects could
-//! equally be handed to `Engine::builder().cost_model(..)` to search,
-//! plan and serve under a scenario end to end.
+//! The perturbed models are ordinary [`CostModel`]s in a
+//! [`CostModelRegistry`]: the same values could equally be handed to
+//! `Engine::builder().cost_model(..)` to search, plan and serve under a
+//! scenario end to end.
 
 use crate::metrics::DataflowRun;
 use crate::runner::run_layers_priced;
-use eyeriss_arch::cost::{CostModel, CostModelRegistry, StaticCostModel, TableIv};
+use eyeriss_arch::cost::{CostModel, CostModelRegistry, TableIv};
 use eyeriss_arch::energy::EnergyModel;
 use eyeriss_dataflow::DataflowKind;
 use eyeriss_nn::alexnet;
 use eyeriss_nn::shape::NamedLayer;
-use std::sync::Arc;
 
 /// One perturbed cost model and the resulting per-dataflow energies.
 #[derive(Debug, Clone)]
@@ -28,7 +27,7 @@ pub struct Scenario {
     /// Scenario label (the cost model's registry id).
     pub label: String,
     /// The perturbed model, as registered.
-    pub model: Arc<dyn CostModel>,
+    pub model: CostModel,
     /// Energy/op per dataflow, in [`DataflowKind::ALL`] order (`None` =
     /// cannot operate).
     pub energy_per_op: Vec<Option<f64>>,
@@ -47,18 +46,18 @@ impl Scenario {
     }
 }
 
-fn perturbed(label: &'static str, dram: f64, buffer: f64, array: f64) -> Arc<dyn CostModel> {
-    Arc::new(StaticCostModel::new(
+fn perturbed(label: &'static str, dram: f64, buffer: f64, array: f64) -> CostModel {
+    CostModel::new(
         label,
         EnergyModel::new(dram, buffer, array, 1.0, 1.0).expect("scenario costs are ordered"),
-    ))
+    )
 }
 
 /// The perturbed models — Table IV plus DRAM and buffer scalings — as a
 /// [`CostModelRegistry`], in scenario order.
 pub fn scenario_registry() -> CostModelRegistry {
     let mut reg = CostModelRegistry::empty();
-    reg.register(Arc::new(TableIv)).expect("empty registry");
+    reg.register(TableIv).expect("empty registry");
     for model in [
         perturbed("DRAM x0.5", 100.0, 6.0, 2.0),
         perturbed("DRAM x2", 400.0, 6.0, 2.0),
@@ -76,7 +75,7 @@ fn run_with_model(
     layers: &[NamedLayer],
     batch: usize,
     num_pes: usize,
-    cost: Arc<dyn CostModel>,
+    cost: CostModel,
 ) -> Option<DataflowRun> {
     let hw = eyeriss_arch::AcceleratorConfig::under_baseline_area(num_pes, kind.rf_bytes());
     run_layers_priced(kind, layers, batch, &hw, cost)
@@ -90,14 +89,11 @@ pub fn run() -> Vec<Scenario> {
         .map(|model| {
             let energy_per_op = DataflowKind::ALL
                 .iter()
-                .map(|&k| {
-                    run_with_model(k, &layers, 16, 256, Arc::clone(model))
-                        .map(|r| r.energy_per_op())
-                })
+                .map(|&k| run_with_model(k, &layers, 16, 256, *model).map(|r| r.energy_per_op()))
                 .collect();
             Scenario {
                 label: model.id().label().to_string(),
-                model: Arc::clone(model),
+                model: *model,
                 energy_per_op,
             }
         })
@@ -172,7 +168,7 @@ mod tests {
     fn scenarios_are_registered_models() {
         let reg = scenario_registry();
         assert_eq!(reg.len(), 6);
-        assert!(reg.get(TableIv::ID).is_some());
+        assert!(reg.get(TableIv.id()).is_some());
         // The first scenario is the canonical model itself.
         let s = run();
         assert_eq!(s[0].label, "table-iv");

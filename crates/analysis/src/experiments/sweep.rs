@@ -35,25 +35,6 @@ impl SweepPoint {
     }
 }
 
-/// Runs the full CONV-layer sweep (3 array sizes x 3 batch sizes x
-/// 6 dataflows over the 5 AlexNet CONV layers).
-pub fn conv_sweep() -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for &pes in &CONV_PE_SIZES {
-        for &batch in &CONV_BATCHES {
-            out.push(SweepPoint {
-                num_pes: pes,
-                batch,
-                runs: DataflowKind::ALL
-                    .iter()
-                    .map(|&k| runner::run_conv_layers(k, batch, pes))
-                    .collect(),
-            });
-        }
-    }
-    out
-}
-
 /// Runs the CONV sweep for a single PE array size (one subplot of
 /// Figs. 11–13).
 pub fn conv_sweep_at(num_pes: usize) -> Vec<SweepPoint> {

@@ -9,7 +9,6 @@ use eyeriss_arch::cost::{CostModel, CostReport};
 use eyeriss_arch::energy::Level;
 use eyeriss_dataflow::candidate::MappingParams;
 use eyeriss_dataflow::{DataflowKind, ParamsMismatch};
-use std::sync::Arc;
 
 /// The optimized mapping of one layer.
 #[derive(Debug, Clone)]
@@ -28,12 +27,12 @@ pub struct LayerRun {
 
 impl LayerRun {
     /// Normalized energy of this layer (MAC units), including ALU.
-    pub fn energy(&self, cost: &dyn CostModel) -> f64 {
+    pub fn energy(&self, cost: &CostModel) -> f64 {
         cost.energy_of(&self.profile)
     }
 
     /// Prices this layer into the unified [`CostReport`] vocabulary.
-    pub fn report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn report(&self, cost: &CostModel) -> CostReport {
         cost.report(&self.profile, self.active_pes)
     }
 
@@ -68,7 +67,7 @@ pub struct DataflowRun {
     /// Per-layer optimized results, in network order.
     pub layers: Vec<LayerRun>,
     /// The cost model the mappings were optimized (and are priced) under.
-    pub cost: Arc<dyn CostModel>,
+    pub cost: CostModel,
 }
 
 impl std::fmt::Debug for DataflowRun {
@@ -88,7 +87,7 @@ impl DataflowRun {
     pub fn report(&self) -> CostReport {
         let mut total = CostReport::zero(self.cost.descriptor());
         for l in &self.layers {
-            total.accumulate(&l.report(self.cost.as_ref()));
+            total.accumulate(&l.report(&self.cost));
         }
         total
     }
@@ -100,10 +99,7 @@ impl DataflowRun {
 
     /// Total normalized energy across layers (including ALU).
     pub fn total_energy(&self) -> f64 {
-        self.layers
-            .iter()
-            .map(|l| l.energy(self.cost.as_ref()))
-            .sum()
+        self.layers.iter().map(|l| l.energy(&self.cost)).sum()
     }
 
     /// Normalized energy per operation (the y-axis of Fig. 12/14b).
@@ -172,7 +168,7 @@ impl DataflowRun {
 mod tests {
     use super::*;
     use eyeriss_arch::access::AccessCounts;
-    use eyeriss_arch::cost::table_iv_shared;
+    use eyeriss_arch::cost::TableIv;
 
     fn dummy_run() -> DataflowRun {
         let mut p1 = LayerAccessProfile::new();
@@ -189,7 +185,7 @@ mod tests {
             kind: DataflowKind::RowStationary,
             num_pes: 256,
             batch: 1,
-            cost: table_iv_shared(),
+            cost: TableIv,
             layers: vec![
                 LayerRun {
                     name: "L1".into(),

@@ -64,7 +64,7 @@ pub fn runs_to_csv(runs: &[DataflowRun]) -> String {
     ];
     let mut rows = Vec::new();
     for run in runs {
-        let em = run.cost.as_ref();
+        let em = &run.cost;
         for layer in &run.layers {
             let p = &layer.profile;
             let report = layer.report(em);

@@ -2,14 +2,13 @@
 //! Section VI-B and optimizes each layer's mapping (Section VI-C).
 
 use crate::metrics::{DataflowRun, LayerRun};
-use eyeriss_arch::cost::{table_iv_shared, CostModel};
+use eyeriss_arch::cost::{CostModel, TableIv};
 use eyeriss_dataflow::registry::builtin;
 use eyeriss_dataflow::search::{optimize_all, Objective};
 use eyeriss_dataflow::DataflowKind;
 use eyeriss_nn::alexnet;
 use eyeriss_nn::shape::NamedLayer;
 use eyeriss_nn::LayerProblem;
-use std::sync::Arc;
 
 /// Optimizes `kind` over `layers` at batch `batch` on a `num_pes` array.
 ///
@@ -34,19 +33,18 @@ pub fn run_layers_on(
     batch: usize,
     hw: &eyeriss_arch::AcceleratorConfig,
 ) -> Option<DataflowRun> {
-    run_layers_priced(kind, layers, batch, hw, table_iv_shared())
+    run_layers_priced(kind, layers, batch, hw, TableIv)
 }
 
 /// [`run_layers_on`] priced under an explicit [`CostModel`] — the entry
 /// point sensitivity studies use with models from a
-/// [`CostModelRegistry`](eyeriss_arch::CostModelRegistry) instead of
-/// hand-built structs.
+/// [`CostModelRegistry`](eyeriss_arch::CostModelRegistry).
 pub fn run_layers_priced(
     kind: DataflowKind,
     layers: &[NamedLayer],
     batch: usize,
     hw: &eyeriss_arch::AcceleratorConfig,
-    cost: Arc<dyn CostModel>,
+    cost: CostModel,
 ) -> Option<DataflowRun> {
     // Repeated shapes (all of VGG's stacked 3x3 stages, say) share one
     // search through the deduplicating batch entry point.
@@ -54,13 +52,7 @@ pub fn run_layers_priced(
         .iter()
         .map(|l| LayerProblem::new(l.shape, batch))
         .collect();
-    let mappings = optimize_all(
-        builtin(kind),
-        &problems,
-        hw,
-        cost.as_ref(),
-        Objective::Energy,
-    );
+    let mappings = optimize_all(builtin(kind), &problems, hw, &cost, Objective::Energy);
     let mut out = Vec::with_capacity(layers.len());
     for (layer, best) in layers.iter().zip(mappings) {
         let best = best?;

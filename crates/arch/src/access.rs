@@ -4,19 +4,18 @@
 //! The paper's analysis methodology (Section VI-C) quantifies energy by
 //! "counting the number of accesses to each level of the previously defined
 //! hierarchy, and weighting the accesses at each level with a cost from
-//! Table IV". These types hold those counts, per data type, and convert
-//! them to energy.
+//! Table IV". These types hold those counts, per data type;
+//! [`crate::cost::CostModel`] weights them.
 //!
 //! Counts are `f64` because optimal mappings may charge fractional average
 //! counts (halo-exact strip refetch factors); all integer-derived counts
 //! are exact.
 
-use crate::energy::{EnergyModel, Level};
-use serde::{Deserialize, Serialize};
+use crate::energy::Level;
 use std::ops::{Add, AddAssign};
 
 /// The three data types moved through the hierarchy (Section VI-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Input feature map pixels (activations).
     Ifmap,
@@ -45,7 +44,7 @@ impl DataType {
 /// `array_hops` counts inter-PE/NoC word deliveries (each charged the
 /// array-level cost); the other levels distinguish reads and writes since
 /// psum accumulation pays both (the factor of 2 in Eq. (4)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccessCounts {
     /// Words read from DRAM.
     pub dram_reads: f64,
@@ -78,19 +77,6 @@ impl AccessCounts {
             Level::Rf => self.rf_reads + self.rf_writes,
             Level::Alu => 0.0,
         }
-    }
-
-    /// Normalized energy of these accesses under `model`.
-    pub fn energy(&self, model: &EnergyModel) -> f64 {
-        Level::ALL
-            .iter()
-            .map(|&l| self.at_level(l) * model.cost(l))
-            .sum()
-    }
-
-    /// Energy contributed at a single level.
-    pub fn energy_at(&self, model: &EnergyModel, level: Level) -> f64 {
-        self.at_level(level) * model.cost(level)
     }
 
     /// Scales every count by `factor` (e.g. replicating a per-group
@@ -143,7 +129,7 @@ impl AddAssign for AccessCounts {
 
 /// Complete access profile of one layer under one mapping: per-data-type
 /// hierarchy counts plus the ALU operation count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LayerAccessProfile {
     /// Ifmap pixel movement.
     pub ifmap: AccessCounts,
@@ -177,36 +163,6 @@ impl LayerAccessProfile {
             DataType::Filter => &mut self.filter,
             DataType::Psum => &mut self.psum,
         }
-    }
-
-    /// Total energy including ALU operations.
-    pub fn total_energy(&self, model: &EnergyModel) -> f64 {
-        self.data_energy(model) + self.alu_ops * model.cost(Level::Alu)
-    }
-
-    /// Data-movement energy only (no ALU).
-    pub fn data_energy(&self, model: &EnergyModel) -> f64 {
-        DataType::ALL
-            .iter()
-            .map(|&t| self.of(t).energy(model))
-            .sum()
-    }
-
-    /// Energy at one level, summed over data types (for Fig. 10/12 stacks);
-    /// [`Level::Alu`] returns the MAC energy.
-    pub fn energy_at_level(&self, model: &EnergyModel, level: Level) -> f64 {
-        if level == Level::Alu {
-            return self.alu_ops * model.cost(Level::Alu);
-        }
-        DataType::ALL
-            .iter()
-            .map(|&t| self.of(t).energy_at(model, level))
-            .sum()
-    }
-
-    /// Energy of one data type across all levels (for Fig. 12d/14c stacks).
-    pub fn energy_of_type(&self, model: &EnergyModel, ty: DataType) -> f64 {
-        self.of(ty).energy(model)
     }
 
     /// Total DRAM accesses (reads + writes) across data types.
@@ -257,6 +213,7 @@ impl LayerAccessProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::TableIv;
 
     fn sample() -> AccessCounts {
         AccessCounts {
@@ -272,10 +229,14 @@ mod tests {
 
     #[test]
     fn energy_weights_levels() {
-        let m = EnergyModel::table_iv();
-        let c = sample();
+        let mut p = LayerAccessProfile::new();
+        p.filter = sample();
         let expect = 12.0 * 200.0 + 120.0 * 6.0 + 300.0 * 2.0 + 1500.0 * 1.0;
-        assert_eq!(c.energy(&m), expect);
+        assert_eq!(TableIv.energy_of(&p), expect);
+        assert_eq!(
+            TableIv.report(&p, 1).total_energy.to_bits(),
+            TableIv.energy_of(&p).to_bits()
+        );
     }
 
     #[test]
@@ -287,34 +248,58 @@ mod tests {
 
     #[test]
     fn profile_total_includes_alu() {
-        let m = EnergyModel::table_iv();
         let mut p = LayerAccessProfile::new();
         p.alu_ops = 50.0;
         p.filter = sample();
-        assert_eq!(p.total_energy(&m), p.filter.energy(&m) + 50.0);
+        let filter = TableIv.energy_of_type(&p, DataType::Filter);
+        assert_eq!(TableIv.energy_of(&p), filter + 50.0);
+        let report = TableIv.report(&p, 1);
+        assert_eq!(report.alu_energy.to_bits(), 50.0f64.to_bits());
+        assert_eq!(
+            report.total_energy.to_bits(),
+            TableIv.energy_of(&p).to_bits()
+        );
     }
 
     #[test]
     fn per_level_sums_to_data_energy() {
-        let m = EnergyModel::table_iv();
         let mut p = LayerAccessProfile::new();
         p.ifmap = sample();
         p.psum = sample();
+        let report = TableIv.report(&p, 1);
+        for level in Level::ALL {
+            assert_eq!(
+                report.energy_at(level).to_bits(),
+                TableIv.energy_at_level(&p, level).to_bits(),
+                "{level}"
+            );
+        }
         let by_level: f64 = [Level::Dram, Level::Buffer, Level::Array, Level::Rf]
             .iter()
-            .map(|&l| p.energy_at_level(&m, l))
+            .map(|&l| TableIv.energy_at_level(&p, l))
             .sum();
-        assert!((by_level - p.data_energy(&m)).abs() < 1e-9);
+        assert!((by_level - report.data_energy()).abs() < 1e-9);
     }
 
     #[test]
     fn per_type_sums_to_data_energy() {
-        let m = EnergyModel::table_iv();
         let mut p = LayerAccessProfile::new();
         p.ifmap = sample();
         p.filter = sample();
-        let by_type: f64 = DataType::ALL.iter().map(|&t| p.energy_of_type(&m, t)).sum();
-        assert!((by_type - p.data_energy(&m)).abs() < 1e-9);
+        let report = TableIv.report(&p, 1);
+        for ty in DataType::ALL {
+            assert_eq!(
+                report.energy_of(ty).to_bits(),
+                TableIv.energy_of_type(&p, ty).to_bits(),
+                "{}",
+                ty.label()
+            );
+        }
+        let by_type: f64 = DataType::ALL
+            .iter()
+            .map(|&t| TableIv.energy_of_type(&p, t))
+            .sum();
+        assert!((by_type - report.data_energy()).abs() < 1e-9);
     }
 
     #[test]

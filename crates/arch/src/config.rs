@@ -9,13 +9,12 @@
 //!   RF/buffer split.
 
 use crate::area;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per data word (16-bit fixed point throughout the paper).
 pub const WORD_BYTES: usize = 2;
 
 /// Physical PE array dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridDims {
     /// Number of PE rows.
     pub rows: usize,
@@ -63,7 +62,7 @@ impl GridDims {
 /// assert_eq!(chip.grid.count(), 168);
 /// assert_eq!(chip.rf_words_per_pe(), 256); // 0.5 kB / 2 B
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorConfig {
     /// Physical PE array dimensions.
     pub grid: GridDims,

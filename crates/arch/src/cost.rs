@@ -1,4 +1,4 @@
-//! The open cost-model layer: pluggable energy *and* latency accounting.
+//! The cost-model layer: energy *and* latency accounting from one value.
 //!
 //! Table IV of the paper fixes one 200×/6×/2×/1× energy hierarchy, but the
 //! methodology of Section VI-C — "counting the number of accesses to each
@@ -6,40 +6,39 @@
 //! parametric in those weights. Different processes, NoC designs and array
 //! sizes change the per-level costs, and a serving deployment additionally
 //! needs a *latency* dimension (per-level bandwidth) the energy table
-//! cannot express. This module opens the accounting the same way
-//! `eyeriss_dataflow` opened the mapping spaces:
+//! cannot express. A cost model is therefore ten numbers — five energy
+//! costs and five bandwidths — and one pricing path over them:
 //!
-//! * [`CostModel`] — the open trait: identity, energy cost per [`Level`],
-//!   per-level bandwidth, and provided pricing/fingerprinting.
-//! * [`TableIv`] — the canonical implementation (the paper's numbers,
+//! * [`CostModel`] — the value type: identity, energy cost per [`Level`],
+//!   per-level bandwidth, and every pricing method (energy, delay,
+//!   report, fingerprint). Nothing else multiplies counts by costs.
+//! * [`TableIv`] — the canonical model (the paper's numbers,
 //!   latency-transparent: infinite per-level bandwidth, so delay reduces
 //!   to the Section VII-B compute proxy).
-//! * [`StaticCostModel`] — table-driven custom models for sensitivity
-//!   scenarios and deployment what-ifs (e.g. a 28 nm latency-weighted
-//!   setup with a finite DRAM channel).
 //! * [`CostReport`] — the unified result vocabulary: per-level ×
 //!   per-data-type energy plus the analytic delay, returned by simulator
 //!   stats, cluster stats and the analysis metrics alike.
-//! * [`CostModelRegistry`] — mirror of `DataflowRegistry`; everything
-//!   downstream prices through `&dyn CostModel` and never matches on a
-//!   concrete model type, so a registered model is searched, planned,
-//!   persisted and served without core changes.
+//! * [`CostModelRegistry`] — models looked up by label, so persisted plans
+//!   reload against the model that priced them.
+//!
+//! A model can only be built from a validated [`EnergyModel`] (costs
+//! finite and non-negative) plus positive bandwidths, so every model is
+//! monotone: more accesses never price lower.
 //!
 //! # Example
 //!
 //! ```
-//! use eyeriss_arch::cost::{CostModel, StaticCostModel, TableIv};
+//! use eyeriss_arch::cost::{CostModel, TableIv};
 //! use eyeriss_arch::energy::{EnergyModel, Level};
 //!
 //! // The canonical model prices exactly like Table IV.
-//! let table = TableIv;
-//! assert_eq!(table.energy_cost(Level::Dram), 200.0);
+//! assert_eq!(TableIv.energy_cost(Level::Dram), 200.0);
 //!
 //! // A custom 28 nm-ish scenario: cheaper DRAM, a finite DRAM channel.
-//! let low_power = StaticCostModel::new("lp-28nm", EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0)?)
+//! let low_power = CostModel::new("lp-28nm", EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0)?)
 //!     .with_bandwidth(Level::Dram, 4.0)?;
-//! assert!(low_power.energy_cost(Level::Dram) < table.energy_cost(Level::Dram));
-//! assert_ne!(low_power.fingerprint(), table.fingerprint());
+//! assert!(low_power.energy_cost(Level::Dram) < TableIv.energy_cost(Level::Dram));
+//! assert_ne!(low_power.fingerprint(), TableIv.fingerprint());
 //! # Ok::<(), eyeriss_arch::cost::CostModelError>(())
 //! ```
 
@@ -47,10 +46,8 @@ use crate::access::{AccessCounts, DataType, LayerAccessProfile};
 use crate::energy::{EnergyModel, Level};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-/// Stable identity of a cost model (the open-world mirror of
-/// [`crate::energy::EnergyModel`]'s implicit "Table IV" identity).
+/// Stable identity of a [`CostModel`].
 ///
 /// Compares and hashes by label *content*; the label is also the
 /// serialization form persisted plan caches store on disk.
@@ -190,120 +187,178 @@ impl fmt::Display for CostModelError {
 
 impl std::error::Error for CostModelError {}
 
-/// An energy/latency accounting scheme over the four-level hierarchy
-/// (Section VI-C, opened up the way [`Dataflow`] opened the mapping
-/// spaces).
+/// A cost model over the four-level hierarchy (Section VI-C): an
+/// identity, an energy cost per access at each [`Level`] and a bandwidth
+/// per level. Every price — profile energies, the analytic delay, the
+/// [`CostReport`] vocabulary — is computed here from these ten numbers
+/// and nothing else, so two models with equal [`CostFingerprint`]s price
+/// identically by construction (plan caches rely on it).
 ///
-/// Implementations provide an identity, an energy cost per access at each
-/// [`Level`], and (optionally) a finite per-level bandwidth; everything
-/// else — profile pricing, the analytic delay, the [`CostReport`]
-/// vocabulary, the exact [`CostFingerprint`] plan caches key on — is
-/// provided.
+/// A model is built only through [`CostModel::new`] (costs from a
+/// validated [`EnergyModel`]: finite and non-negative) and
+/// [`CostModel::with_bandwidth`] (positive), so more accesses never price
+/// lower, and search may prune by lower bounds under any model.
 ///
-/// [`Dataflow`]: https://docs.rs/eyeriss-dataflow
-pub trait CostModel: Send + Sync {
+/// # Example
+///
+/// ```
+/// use eyeriss_arch::cost::CostModel;
+/// use eyeriss_arch::energy::{EnergyModel, Level};
+///
+/// let m = CostModel::new("dram-x2", EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0)?)
+///     .with_bandwidth(Level::Dram, 8.0)?;
+/// assert_eq!(m.id().label(), "dram-x2");
+/// assert_eq!(m.energy_cost(Level::Dram), 400.0);
+/// assert_eq!(m.bandwidth(Level::Dram), 8.0);
+/// assert!(m.bandwidth(Level::Buffer).is_infinite());
+/// # Ok::<(), eyeriss_arch::cost::CostModelError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostModel {
+    id: CostModelId,
+    energy: EnergyModel,
+    bandwidth: [f64; 5],
+}
+
+impl CostModel {
+    /// A latency-transparent model with `energy`'s per-level costs under
+    /// the id `label`: infinite bandwidth everywhere, so
+    /// [`CostModel::delay_of`] is the paper's Section VII-B compute proxy
+    /// (MACs / active PEs).
+    pub const fn new(label: &'static str, energy: EnergyModel) -> Self {
+        CostModel {
+            id: CostModelId::new(label),
+            energy,
+            bandwidth: [f64::INFINITY; 5],
+        }
+    }
+
+    /// Sets a finite bandwidth (words per cycle) at `level`, letting that
+    /// level bound the analytic delay.
+    ///
+    /// # Errors
+    ///
+    /// [`CostModelError::InvalidBandwidth`] unless positive.
+    pub fn with_bandwidth(
+        mut self,
+        level: Level,
+        words_per_cycle: f64,
+    ) -> Result<Self, CostModelError> {
+        if words_per_cycle.is_nan() || words_per_cycle <= 0.0 {
+            return Err(CostModelError::InvalidBandwidth {
+                level,
+                value: words_per_cycle,
+            });
+        }
+        self.bandwidth[level_index(level)] = words_per_cycle;
+        Ok(self)
+    }
+
     /// Stable identity; registries and plan caches key on this (together
     /// with the numeric [`CostModel::fingerprint`]).
-    fn id(&self) -> CostModelId;
+    pub fn id(&self) -> CostModelId {
+        self.id
+    }
 
     /// Energy cost of one access at `level`, normalized to one MAC.
-    fn energy_cost(&self, level: Level) -> f64;
+    pub fn energy_cost(&self, level: Level) -> f64 {
+        self.energy.cost(level)
+    }
 
-    /// Deliverable words per cycle at `level`, driving the analytic
-    /// latency dimension. The default is infinite everywhere: the model
-    /// is latency-transparent and [`CostModel::delay_of`] reduces to the
-    /// paper's Section VII-B compute proxy (MACs / active PEs). Override
-    /// with finite values to let scarce levels bound the delay.
-    fn bandwidth(&self, level: Level) -> f64 {
-        let _ = level;
-        f64::INFINITY
+    /// Deliverable words per cycle at `level` (infinite unless set by
+    /// [`CostModel::with_bandwidth`]).
+    pub fn bandwidth(&self, level: Level) -> f64 {
+        self.bandwidth[level_index(level)]
     }
 
     /// Exact numeric fingerprint: the bit patterns of every per-level
     /// energy cost and bandwidth. Two models fingerprinting equal price
     /// identically; plan caches must never share entries across distinct
     /// fingerprints.
-    fn fingerprint(&self) -> CostFingerprint {
-        let mut energy_bits = [0u64; 5];
-        let mut bandwidth_bits = [0u64; 5];
-        for (i, level) in Level::ALL.into_iter().enumerate() {
-            energy_bits[i] = self.energy_cost(level).to_bits();
-            bandwidth_bits[i] = self.bandwidth(level).to_bits();
-        }
+    pub fn fingerprint(&self) -> CostFingerprint {
         CostFingerprint {
-            energy_bits,
-            bandwidth_bits,
+            energy_bits: Level::ALL.map(|l| self.energy_cost(l).to_bits()),
+            bandwidth_bits: self.bandwidth.map(f64::to_bits),
         }
     }
 
     /// The `(id, fingerprint)` descriptor priced artifacts record.
-    fn descriptor(&self) -> CostDescriptor {
+    pub fn descriptor(&self) -> CostDescriptor {
         CostDescriptor {
-            id: self.id(),
+            id: self.id,
             fingerprint: self.fingerprint(),
         }
     }
 
-    /// Energy of one data type's access counts (the weighted sum of
-    /// Section VI-C, association order identical to
-    /// [`AccessCounts::energy`] so Table IV totals stay bit-exact).
-    fn energy_of_counts(&self, counts: &AccessCounts) -> f64 {
-        Level::ALL
-            .iter()
-            .map(|&l| counts.at_level(l) * self.energy_cost(l))
-            .sum()
+    /// Energy of one data type's accesses at one level: count × cost,
+    /// the weighted term of Section VI-C. Every energy below is a sum of
+    /// these cells — over levels first, then over data types.
+    fn cell(&self, counts: &AccessCounts, level: Level) -> f64 {
+        counts.at_level(level) * self.energy_cost(level)
     }
 
-    /// Total energy of a layer profile including ALU operations —
-    /// bit-identical to `profile.total_energy(&EnergyModel)` under equal
-    /// per-level costs.
-    fn energy_of(&self, profile: &LayerAccessProfile) -> f64 {
+    /// Compute (ALU) energy of a profile.
+    fn alu_energy(&self, profile: &LayerAccessProfile) -> f64 {
+        profile.alu_ops * self.energy_cost(Level::Alu)
+    }
+
+    /// Transfer time at one storage level: words moved there (all data
+    /// types) over its bandwidth.
+    fn transfer_delay(&self, profile: &LayerAccessProfile, level: Level) -> f64 {
+        let words: f64 = DataType::ALL
+            .iter()
+            .map(|&t| profile.of(t).at_level(level))
+            .sum();
+        words / self.bandwidth(level)
+    }
+
+    /// Total energy of a layer profile including ALU operations: per-type
+    /// level sums, then across types, then the ALU term.
+    pub fn energy_of(&self, profile: &LayerAccessProfile) -> f64 {
         let data: f64 = DataType::ALL
             .iter()
-            .map(|&t| self.energy_of_counts(profile.of(t)))
+            .map(|&t| self.energy_of_type(profile, t))
             .sum();
-        data + profile.alu_ops * self.energy_cost(Level::Alu)
+        data + self.alu_energy(profile)
     }
 
-    /// Energy at one level summed over data types, association order
-    /// identical to the old `LayerAccessProfile::energy_at_level`;
-    /// [`Level::Alu`] returns the MAC energy.
-    fn energy_at_level(&self, profile: &LayerAccessProfile, level: Level) -> f64 {
+    /// Energy at one level summed over data types (the Fig. 10/12
+    /// stacks); [`Level::Alu`] returns the MAC energy.
+    pub fn energy_at_level(&self, profile: &LayerAccessProfile, level: Level) -> f64 {
         if level == Level::Alu {
-            return profile.alu_ops * self.energy_cost(Level::Alu);
+            return self.alu_energy(profile);
         }
         DataType::ALL
             .iter()
-            .map(|&t| profile.of(t).at_level(level) * self.energy_cost(level))
+            .map(|&t| self.cell(profile.of(t), level))
             .sum()
     }
 
-    /// Energy of one data type across all levels (order-identical to the
-    /// old `LayerAccessProfile::energy_of_type`).
-    fn energy_of_type(&self, profile: &LayerAccessProfile, ty: DataType) -> f64 {
-        self.energy_of_counts(profile.of(ty))
+    /// Energy of one data type across all levels (the Fig. 12d/14c
+    /// stacks).
+    pub fn energy_of_type(&self, profile: &LayerAccessProfile, ty: DataType) -> f64 {
+        Level::ALL
+            .iter()
+            .map(|&l| self.cell(profile.of(ty), l))
+            .sum()
     }
 
     /// Analytic delay of a layer profile on `active_pes` PEs: the compute
     /// proxy (MACs / active PEs, Section VII-B) floored by every level's
     /// transfer time under this model's bandwidths. Latency-transparent
-    /// models (the default) return exactly the compute proxy.
-    fn delay_of(&self, profile: &LayerAccessProfile, active_pes: usize) -> f64 {
-        let mut delay = profile.alu_ops / active_pes as f64;
-        for level in [Level::Dram, Level::Buffer, Level::Array, Level::Rf] {
-            let words: f64 = DataType::ALL
-                .iter()
-                .map(|&t| profile.of(t).at_level(level))
-                .sum();
-            delay = delay.max(words / self.bandwidth(level));
-        }
-        delay
+    /// models return exactly the compute proxy.
+    pub fn delay_of(&self, profile: &LayerAccessProfile, active_pes: usize) -> f64 {
+        MEMORY_LEVELS
+            .iter()
+            .fold(profile.alu_ops / active_pes as f64, |delay, &l| {
+                delay.max(self.transfer_delay(profile, l))
+            })
     }
 
     /// Prices a whole layer profile into the unified [`CostReport`]
     /// vocabulary: per-level × per-data-type energy plus the analytic
     /// delay decomposition (compute proxy = MACs / active PEs).
-    fn report(&self, profile: &LayerAccessProfile, active_pes: usize) -> CostReport {
+    pub fn report(&self, profile: &LayerAccessProfile, active_pes: usize) -> CostReport {
         self.report_with_delay(profile, profile.alu_ops / active_pes as f64)
     }
 
@@ -312,37 +367,23 @@ pub trait CostModel: Send + Sync {
     /// measured cycles, a cluster plan's critical path. The report's
     /// final delay is the baseline floored by every level's transfer time
     /// under this model's bandwidths.
-    fn report_with_delay(&self, profile: &LayerAccessProfile, compute_delay: f64) -> CostReport {
-        let mut energy = [[0.0f64; 5]; 3];
-        for (ti, &t) in DataType::ALL.iter().enumerate() {
-            for (li, &l) in Level::ALL.iter().enumerate() {
-                energy[ti][li] = profile.of(t).at_level(l) * self.energy_cost(l);
-            }
-        }
-        let alu_energy = profile.alu_ops * self.energy_cost(Level::Alu);
-        // Identical association order to `LayerAccessProfile::total_energy`
-        // (per-type level sums, then across types, then + ALU), so Table IV
-        // totals are bit-exact against the pre-trait pricing path.
-        let data: f64 = energy.iter().map(|row| row.iter().sum::<f64>()).sum();
-        let total_energy = data + alu_energy;
+    pub fn report_with_delay(
+        &self,
+        profile: &LayerAccessProfile,
+        compute_delay: f64,
+    ) -> CostReport {
+        let energy = DataType::ALL.map(|t| Level::ALL.map(|l| self.cell(profile.of(t), l)));
         let mut transfer_delay = [0.0f64; 5];
         let mut delay = compute_delay;
-        for (li, &l) in Level::ALL.iter().enumerate() {
-            if l == Level::Alu {
-                continue;
-            }
-            let words: f64 = DataType::ALL
-                .iter()
-                .map(|&t| profile.of(t).at_level(l))
-                .sum();
-            transfer_delay[li] = words / self.bandwidth(l);
-            delay = delay.max(transfer_delay[li]);
+        for (t, &level) in transfer_delay.iter_mut().zip(&MEMORY_LEVELS) {
+            *t = self.transfer_delay(profile, level);
+            delay = delay.max(*t);
         }
         CostReport {
             model: self.descriptor(),
             energy,
-            alu_energy,
-            total_energy,
+            alu_energy: self.alu_energy(profile),
+            total_energy: self.energy_of(profile),
             compute_delay,
             transfer_delay,
             delay,
@@ -356,7 +397,11 @@ pub trait CostModel: Send + Sync {
     /// caller's critical-path baseline (which should already account for
     /// shared resources, e.g. a cluster's shared-DRAM contention model)
     /// floored by those per-unit transfer times.
-    fn report_parallel(&self, units: &[&LayerAccessProfile], baseline_delay: f64) -> CostReport {
+    pub fn report_parallel(
+        &self,
+        units: &[&LayerAccessProfile],
+        baseline_delay: f64,
+    ) -> CostReport {
         let mut total = CostReport::zero(self.descriptor());
         let mut transfer_delay = [0.0f64; 5];
         for profile in units {
@@ -375,11 +420,17 @@ pub trait CostModel: Send + Sync {
     }
 }
 
-impl fmt::Debug for dyn CostModel + '_ {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CostModel({})", self.id())
-    }
-}
+/// The canonical cost model: the commercial 65 nm numbers of Table IV
+/// (DRAM 200×, buffer 6×, array 2×, RF 1×, ALU 1×), latency-transparent.
+//
+// Named like a unit struct because callers, the benchmark among them,
+// write `&TableIv` and `TableIv.report(..)`; a borrow of the constant is
+// promoted to `'static`.
+#[allow(non_upper_case_globals)]
+pub const TableIv: CostModel = CostModel::new("table-iv", EnergyModel::table_iv());
+
+/// The hierarchy's storage levels, [`Level::ALL`] without the ALU.
+const MEMORY_LEVELS: [Level; 4] = [Level::Dram, Level::Buffer, Level::Array, Level::Rf];
 
 /// Index of `level` in [`Level::ALL`] (the report matrices' column order).
 fn level_index(level: Level) -> usize {
@@ -542,142 +593,27 @@ impl CostReport {
     }
 }
 
-/// The canonical cost model: the commercial 65 nm numbers of Table IV
-/// (DRAM 200×, buffer 6×, array 2×, RF 1×, ALU 1×), latency-transparent.
-///
-/// Pricing under `TableIv` is bit-identical to the pre-trait
-/// `EnergyModel::table_iv()` path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TableIv;
-
-impl TableIv {
-    /// The registry id of the canonical model.
-    pub const ID: CostModelId = CostModelId::new("table-iv");
-}
-
-impl CostModel for TableIv {
-    fn id(&self) -> CostModelId {
-        TableIv::ID
-    }
-
-    fn energy_cost(&self, level: Level) -> f64 {
-        EnergyModel::table_iv().cost(level)
-    }
-}
-
-/// The canonical Table IV model as a `'static` trait object.
-pub fn table_iv() -> &'static dyn CostModel {
-    &TableIv
-}
-
-/// The canonical Table IV model as a shared trait object (for holders
-/// needing owned `Arc<dyn CostModel>` storage, like a serving compiler).
-pub fn table_iv_shared() -> Arc<dyn CostModel> {
-    Arc::new(TableIv)
-}
-
-/// A table-driven cost model: per-level energy costs (validated against
-/// the Section II hierarchy ordering via [`EnergyModel`]) plus optional
-/// finite per-level bandwidths. The workhorse of sensitivity scenarios
-/// and deployment what-ifs.
+/// An ordered set of [`CostModel`]s, looked up by [`CostModelId`] or
+/// label. Loading persisted plans resolves their recorded descriptors
+/// here, so a model registered here is all it takes to reload plans
+/// priced under it.
 ///
 /// # Example
 ///
 /// ```
-/// use eyeriss_arch::cost::{CostModel, StaticCostModel};
-/// use eyeriss_arch::energy::{EnergyModel, Level};
-///
-/// let m = StaticCostModel::new("dram-x2", EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0)?)
-///     .with_bandwidth(Level::Dram, 8.0)?;
-/// assert_eq!(m.id().label(), "dram-x2");
-/// assert_eq!(m.energy_cost(Level::Dram), 400.0);
-/// assert_eq!(m.bandwidth(Level::Dram), 8.0);
-/// assert!(m.bandwidth(Level::Buffer).is_infinite());
-/// # Ok::<(), eyeriss_arch::cost::CostModelError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticCostModel {
-    id: CostModelId,
-    energy: EnergyModel,
-    bandwidth: [f64; 5],
-}
-
-impl StaticCostModel {
-    /// A latency-transparent model with `energy`'s per-level costs under
-    /// the id `label`.
-    pub fn new(label: &'static str, energy: EnergyModel) -> Self {
-        StaticCostModel {
-            id: CostModelId::new(label),
-            energy,
-            bandwidth: [f64::INFINITY; 5],
-        }
-    }
-
-    /// Sets a finite bandwidth (words per cycle) at `level`.
-    ///
-    /// # Errors
-    ///
-    /// [`CostModelError::InvalidBandwidth`] unless positive.
-    pub fn with_bandwidth(
-        mut self,
-        level: Level,
-        words_per_cycle: f64,
-    ) -> Result<Self, CostModelError> {
-        if words_per_cycle.is_nan() || words_per_cycle <= 0.0 {
-            return Err(CostModelError::InvalidBandwidth {
-                level,
-                value: words_per_cycle,
-            });
-        }
-        self.bandwidth[level_index(level)] = words_per_cycle;
-        Ok(self)
-    }
-
-    /// The underlying per-level energy table.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-}
-
-impl CostModel for StaticCostModel {
-    fn id(&self) -> CostModelId {
-        self.id
-    }
-
-    fn energy_cost(&self, level: Level) -> f64 {
-        self.energy.cost(level)
-    }
-
-    fn bandwidth(&self, level: Level) -> f64 {
-        self.bandwidth[level_index(level)]
-    }
-}
-
-/// An ordered set of [`CostModel`] implementations, looked up by
-/// [`CostModelId`] or label — the exact mirror of `DataflowRegistry`.
-/// Everything downstream prices through `&dyn CostModel`, so registering
-/// a custom model here is all it takes to search, plan, persist and serve
-/// under it.
-///
-/// # Example
-///
-/// ```
-/// use eyeriss_arch::cost::{CostModelRegistry, StaticCostModel, TableIv};
+/// use eyeriss_arch::cost::{CostModel, CostModelRegistry, TableIv};
 /// use eyeriss_arch::energy::EnergyModel;
 ///
 /// let mut reg = CostModelRegistry::builtin();
-/// assert!(reg.get(TableIv::ID).is_some());
-/// reg.register(std::sync::Arc::new(StaticCostModel::new(
-///     "flat",
-///     EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0)?,
-/// )))?;
+/// assert!(reg.get(TableIv.id()).is_some());
+/// reg.register(CostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0)?))?;
 /// assert_eq!(reg.len(), 2);
 /// assert!(reg.by_label("flat").is_some());
 /// # Ok::<(), eyeriss_arch::cost::CostModelError>(())
 /// ```
 #[derive(Clone)]
 pub struct CostModelRegistry {
-    entries: Vec<Arc<dyn CostModel>>,
+    entries: Vec<CostModel>,
 }
 
 impl CostModelRegistry {
@@ -691,7 +627,7 @@ impl CostModelRegistry {
     /// A registry holding the canonical [`TableIv`] model.
     pub fn builtin() -> Self {
         let mut reg = CostModelRegistry::empty();
-        reg.entries.push(table_iv_shared());
+        reg.entries.push(TableIv);
         reg
     }
 
@@ -700,7 +636,7 @@ impl CostModelRegistry {
     /// # Errors
     ///
     /// [`CostModelError::Duplicate`] when the id is already present.
-    pub fn register(&mut self, model: Arc<dyn CostModel>) -> Result<(), CostModelError> {
+    pub fn register(&mut self, model: CostModel) -> Result<(), CostModelError> {
         let id = model.id();
         if self.get(id).is_some() {
             return Err(CostModelError::Duplicate(id));
@@ -710,12 +646,12 @@ impl CostModelRegistry {
     }
 
     /// Looks a model up by id.
-    pub fn get(&self, id: CostModelId) -> Option<&Arc<dyn CostModel>> {
+    pub fn get(&self, id: CostModelId) -> Option<&CostModel> {
         self.entries.iter().find(|m| m.id() == id)
     }
 
     /// Looks a model up by label (the on-disk form of the id).
-    pub fn by_label(&self, label: &str) -> Option<&Arc<dyn CostModel>> {
+    pub fn by_label(&self, label: &str) -> Option<&CostModel> {
         self.entries.iter().find(|m| m.id().label() == label)
     }
 
@@ -724,7 +660,7 @@ impl CostModelRegistry {
     /// # Errors
     ///
     /// [`CostModelError::Unknown`].
-    pub fn resolve(&self, id: CostModelId) -> Result<&Arc<dyn CostModel>, CostModelError> {
+    pub fn resolve(&self, id: CostModelId) -> Result<&CostModel, CostModelError> {
         self.get(id)
             .ok_or_else(|| CostModelError::Unknown(id.label().to_string()))
     }
@@ -734,13 +670,13 @@ impl CostModelRegistry {
     /// # Errors
     ///
     /// [`CostModelError::Unknown`].
-    pub fn resolve_label(&self, label: &str) -> Result<&Arc<dyn CostModel>, CostModelError> {
+    pub fn resolve_label(&self, label: &str) -> Result<&CostModel, CostModelError> {
         self.by_label(label)
             .ok_or_else(|| CostModelError::Unknown(label.to_string()))
     }
 
     /// The registered models, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn CostModel>> {
+    pub fn iter(&self) -> impl Iterator<Item = &CostModel> {
         self.entries.iter()
     }
 
@@ -801,25 +737,36 @@ mod tests {
 
     #[test]
     fn table_iv_prices_bit_identically_to_the_energy_model() {
+        // Every report cell is one count times the Table IV cost, and the
+        // per-level, per-type and total methods sum exactly those cells.
         let p = sample_profile();
         let em = EnergyModel::table_iv();
-        assert_eq!(
-            TableIv.energy_of(&p).to_bits(),
-            p.total_energy(&em).to_bits()
-        );
         let report = TableIv.report(&p, 123);
-        assert_eq!(report.total_energy.to_bits(), p.total_energy(&em).to_bits());
+        for ty in DataType::ALL {
+            for level in Level::ALL {
+                assert_eq!(
+                    report.energy_cell(ty, level).to_bits(),
+                    (p.of(ty).at_level(level) * em.cost(level)).to_bits(),
+                    "{} at {level}",
+                    ty.label()
+                );
+            }
+        }
+        assert_eq!(
+            report.total_energy.to_bits(),
+            TableIv.energy_of(&p).to_bits()
+        );
         for level in Level::ALL {
             assert_eq!(
                 report.energy_at(level).to_bits(),
-                p.energy_at_level(&em, level).to_bits(),
+                TableIv.energy_at_level(&p, level).to_bits(),
                 "{level}"
             );
         }
         for ty in DataType::ALL {
             assert_eq!(
                 report.energy_of(ty).to_bits(),
-                p.energy_of_type(&em, ty).to_bits()
+                TableIv.energy_of_type(&p, ty).to_bits()
             );
         }
     }
@@ -838,7 +785,7 @@ mod tests {
     fn finite_bandwidth_bounds_the_delay() {
         let p = sample_profile();
         // 18 DRAM words at 0.001 words/cycle dominate 4321 MACs / 100 PEs.
-        let m = StaticCostModel::new("slow-dram", EnergyModel::table_iv())
+        let m = CostModel::new("slow-dram", EnergyModel::table_iv())
             .with_bandwidth(Level::Dram, 0.001)
             .unwrap();
         let report = m.report(&p, 100);
@@ -855,14 +802,13 @@ mod tests {
 
     #[test]
     fn fingerprints_separate_costs_and_bandwidths() {
-        let base = StaticCostModel::new("a", EnergyModel::table_iv());
+        let base = CostModel::new("a", EnergyModel::table_iv());
         assert_eq!(base.fingerprint(), TableIv.fingerprint());
-        let scaled =
-            StaticCostModel::new("b", EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0).unwrap());
+        let scaled = CostModel::new("b", EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0).unwrap());
         assert_ne!(scaled.fingerprint(), TableIv.fingerprint());
         let banded = base.with_bandwidth(Level::Dram, 4.0).unwrap();
         assert_ne!(banded.fingerprint(), TableIv.fingerprint());
-        assert_eq!(TableIv.descriptor().id, TableIv::ID);
+        assert_eq!(TableIv.descriptor().id, TableIv.id());
         assert_eq!(TableIv.descriptor().fingerprint, TableIv.fingerprint());
     }
 
@@ -911,7 +857,7 @@ mod tests {
     fn accumulate_rejects_cross_model_sums() {
         let p = sample_profile();
         let mut a = TableIv.report(&p, 64);
-        let b = StaticCostModel::new("other", EnergyModel::table_iv()).report(&p, 64);
+        let b = CostModel::new("other", EnergyModel::table_iv()).report(&p, 64);
         a.accumulate(&b);
     }
 
@@ -921,8 +867,8 @@ mod tests {
         // Two models under one label but distinct fingerprints must not
         // sum silently — the descriptor, not just the id, is the guard.
         let p = sample_profile();
-        let mut a = StaticCostModel::new("scenario", EnergyModel::table_iv()).report(&p, 64);
-        let b = StaticCostModel::new(
+        let mut a = CostModel::new("scenario", EnergyModel::table_iv()).report(&p, 64);
+        let b = CostModel::new(
             "scenario",
             EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0).unwrap(),
         )
@@ -935,7 +881,7 @@ mod tests {
         // Two parallel units under a finite DRAM channel: energy doubles,
         // but the DRAM floor is the slower unit's own transfer time — not
         // the sum of both units' words through one private channel.
-        let m = StaticCostModel::new("banded", EnergyModel::table_iv())
+        let m = CostModel::new("banded", EnergyModel::table_iv())
             .with_bandwidth(Level::Dram, 1.0)
             .unwrap();
         let a = sample_profile(); // 18 DRAM words
@@ -973,7 +919,7 @@ mod tests {
 
     #[test]
     fn bandwidth_validation_is_typed() {
-        let m = StaticCostModel::new("x", EnergyModel::table_iv());
+        let m = CostModel::new("x", EnergyModel::table_iv());
         assert!(matches!(
             m.with_bandwidth(Level::Dram, 0.0),
             Err(CostModelError::InvalidBandwidth { .. })
@@ -988,17 +934,13 @@ mod tests {
     fn registry_mirrors_the_dataflow_registry() {
         let mut reg = CostModelRegistry::builtin();
         assert_eq!(reg.len(), 1);
-        assert!(reg.resolve(TableIv::ID).is_ok());
+        assert!(reg.resolve(TableIv.id()).is_ok());
         assert!(reg.resolve_label("table-iv").is_ok());
-        let flat = Arc::new(StaticCostModel::new(
-            "flat",
-            EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap(),
-        ));
-        reg.register(Arc::clone(&flat) as Arc<dyn CostModel>)
-            .unwrap();
+        let flat = CostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
+        reg.register(flat).unwrap();
         assert_eq!(reg.len(), 2);
         assert!(matches!(
-            reg.register(flat as Arc<dyn CostModel>),
+            reg.register(flat),
             Err(CostModelError::Duplicate(id)) if id.label() == "flat"
         ));
         assert!(matches!(

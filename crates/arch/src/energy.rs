@@ -10,12 +10,11 @@
 //! | Cost   | 200x | 6x               | 2x              | 1x          |
 
 use crate::cost::CostModelError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One level of the data-movement hierarchy (Section VI-C), plus the ALU
 /// itself so that compute energy can share the same accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Off-chip DRAM.
     Dram,
@@ -68,7 +67,7 @@ impl fmt::Display for Level {
 /// // Moving a word from DRAM costs 200 MACs' worth of energy.
 /// assert_eq!(m.cost(Level::Dram) / m.cost(Level::Alu), 200.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     dram: f64,
     buffer: f64,

@@ -8,10 +8,10 @@
 //! * [`energy`] — the four-level data-movement hierarchy and the normalized
 //!   access energy costs of Table IV (DRAM 200x, buffer 6x, array 2x, RF 1x,
 //!   relative to one MAC).
-//! * [`cost`] — the open [`CostModel`] trait over that hierarchy: pluggable
-//!   energy *and* bandwidth-derived latency accounting, the canonical
-//!   [`TableIv`] model, the unified [`CostReport`] vocabulary and the
-//!   [`CostModelRegistry`].
+//! * [`cost`] — the [`CostModel`] value over that hierarchy (five energy
+//!   costs and five bandwidths) and the one pricing path: energy *and*
+//!   bandwidth-derived latency, the canonical [`TableIv`] model, the
+//!   unified [`CostReport`] vocabulary and the [`CostModelRegistry`].
 //! * [`area`] — the area-per-byte curve of Fig. 7a and the Eq. (2) baseline
 //!   storage-area budget used to give every dataflow the same silicon.
 //! * [`access`] — access-count containers that both the analytical dataflow
@@ -42,6 +42,6 @@ pub use access::{AccessCounts, DataType, LayerAccessProfile};
 pub use config::{AcceleratorConfig, GridDims};
 pub use cost::{
     CostDescriptor, CostFingerprint, CostModel, CostModelError, CostModelId, CostModelRegistry,
-    CostReport, StaticCostModel, TableIv,
+    CostReport, TableIv,
 };
 pub use energy::{EnergyModel, Level};

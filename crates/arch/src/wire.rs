@@ -193,13 +193,13 @@ mod tests {
 
     #[test]
     fn cost_descriptor_roundtrips_and_screens() {
-        use crate::cost::{CostModel, StaticCostModel, TableIv};
+        use crate::cost::{CostModel, TableIv};
         use crate::energy::{EnergyModel, Level};
         let mut reg = CostModelRegistry::builtin();
-        let custom = StaticCostModel::new("lp", EnergyModel::table_iv())
+        let custom = CostModel::new("lp", EnergyModel::table_iv())
             .with_bandwidth(Level::Dram, 4.0)
             .unwrap();
-        reg.register(std::sync::Arc::new(custom)).unwrap();
+        reg.register(custom).unwrap();
         for d in [TableIv.descriptor(), custom.descriptor()] {
             let back = decode_cost_descriptor(&encode_cost_descriptor(&d), &reg).unwrap();
             assert_eq!(back, d);
@@ -215,10 +215,10 @@ mod tests {
         // numbers (so stale entries never cross-hit).
         let mut drifted = CostModelRegistry::builtin();
         drifted
-            .register(std::sync::Arc::new(StaticCostModel::new(
+            .register(CostModel::new(
                 "lp",
                 EnergyModel::new(400.0, 6.0, 2.0, 1.0, 1.0).unwrap(),
-            )))
+            ))
             .unwrap();
         let back = decode_cost_descriptor(&encode_cost_descriptor(&custom.descriptor()), &drifted)
             .unwrap();

@@ -49,7 +49,7 @@ impl ArrayPlan {
     /// Analytic delay of this array under `cost`: per-tile compute
     /// proxies floored by the model's per-level bandwidths (identical to
     /// [`ArrayPlan::delay`] for latency-transparent models).
-    pub fn delay_under(&self, cost: &dyn CostModel) -> f64 {
+    pub fn delay_under(&self, cost: &CostModel) -> f64 {
         self.tiles
             .iter()
             .map(|t| cost.delay_of(&t.mapping.profile, t.mapping.active_pes))
@@ -57,7 +57,7 @@ impl ArrayPlan {
     }
 
     /// Total analytic energy of this array's tiles under `cost`.
-    pub fn energy(&self, cost: &dyn CostModel) -> f64 {
+    pub fn energy(&self, cost: &CostModel) -> f64 {
         self.tiles
             .iter()
             .map(|t| cost.energy_of(&t.mapping.profile))
@@ -110,7 +110,7 @@ impl ClusterPlan {
     /// *per-array maximum* (arrays run in parallel, each owning private
     /// bandwidth at every level), applied on top of the plan's own
     /// cluster delay (critical path, shared-DRAM-floored).
-    pub fn report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn report(&self, cost: &CostModel) -> CostReport {
         let per_array: Vec<LayerAccessProfile> = self
             .per_array
             .iter()
@@ -175,7 +175,7 @@ pub fn plan_partition(
     problem: &LayerProblem,
     arrays: usize,
     hw: &AcceleratorConfig,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     shared: &SharedDram,
     objective: Objective,
 ) -> Option<ClusterPlan> {
@@ -194,7 +194,7 @@ fn plan_partition_memo(
     partition: Partition,
     problem: &LayerProblem,
     arrays: usize,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     shared: &SharedDram,
 ) -> Option<ClusterPlan> {
     let subs = split(partition, &problem.shape, problem.batch, arrays).ok()?;
@@ -256,7 +256,7 @@ pub fn plan_layer(
     problem: &LayerProblem,
     arrays: usize,
     hw: &AcceleratorConfig,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     shared: &SharedDram,
     objective: Objective,
 ) -> Option<ClusterPlan> {

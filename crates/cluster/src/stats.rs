@@ -74,7 +74,7 @@ impl ClusterStats {
 
     /// Total normalized energy across arrays (energy is additive; it does
     /// not parallelize away).
-    pub fn energy(&self, cost: &dyn CostModel) -> f64 {
+    pub fn energy(&self, cost: &CostModel) -> f64 {
         self.per_array.iter().map(|s| s.energy(cost)).sum()
     }
 
@@ -83,7 +83,7 @@ impl ClusterStats {
     /// are the per-array maximum (arrays move their own words in
     /// parallel), and the measured cluster makespan
     /// ([`ClusterStats::cluster_cycles`]) is the delay baseline.
-    pub fn cost_report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn cost_report(&self, cost: &CostModel) -> CostReport {
         let profiles: Vec<&LayerAccessProfile> =
             self.per_array.iter().map(|s| &s.profile).collect();
         cost.report_parallel(&profiles, self.cluster_cycles() as f64)
@@ -94,7 +94,7 @@ impl ClusterStats {
     /// ([`SimStats::compressed_profile`]) — sparse/RLC runs priced at
     /// the storage format the chip actually moves. Identical to
     /// `cost_report` when no array compressed anything.
-    pub fn compressed_cost_report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn compressed_cost_report(&self, cost: &CostModel) -> CostReport {
         let profiles: Vec<LayerAccessProfile> = self
             .per_array
             .iter()

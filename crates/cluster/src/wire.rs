@@ -242,10 +242,9 @@ mod tests {
 
     #[test]
     fn plans_priced_by_unregistered_models_are_rejected() {
-        use eyeriss_arch::cost::{CostModel, StaticCostModel};
+        use eyeriss_arch::cost::CostModel;
         use eyeriss_arch::EnergyModel;
-        let custom =
-            StaticCostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
+        let custom = CostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
         let plan = plan_layer(
             builtin(DataflowKind::RowStationary),
             &LayerProblem::new(LayerShape::conv(8, 3, 13, 3, 2).unwrap(), 4),
@@ -263,7 +262,7 @@ mod tests {
             Err(WireError::Invalid(_))
         ));
         let mut costs = CostModelRegistry::builtin();
-        costs.register(std::sync::Arc::new(custom)).unwrap();
+        costs.register(custom).unwrap();
         let back = decode_plan(&v, &reg, &costs).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.cost.fingerprint, custom.fingerprint());

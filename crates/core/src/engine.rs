@@ -96,7 +96,7 @@ enum DataflowChoice {
 /// The selected cost model of an [`EngineBuilder`].
 enum CostChoice {
     Id(CostModelId),
-    Instance(Arc<dyn CostModel>),
+    Instance(CostModel),
 }
 
 /// Typed builder for [`Engine`].
@@ -108,7 +108,7 @@ pub struct EngineBuilder {
     pending: Vec<Arc<dyn Dataflow>>,
     dataflow: DataflowChoice,
     costs: CostModelRegistry,
-    pending_costs: Vec<Arc<dyn CostModel>>,
+    pending_costs: Vec<CostModel>,
     cost: CostChoice,
     cache: Option<Arc<PlanCache>>,
     telemetry: Option<Telemetry>,
@@ -125,7 +125,7 @@ impl EngineBuilder {
             dataflow: DataflowChoice::Id(DataflowKind::RowStationary.id()),
             costs: CostModelRegistry::builtin(),
             pending_costs: Vec::new(),
-            cost: CostChoice::Id(TableIv::ID),
+            cost: CostChoice::Id(TableIv.id()),
             cache: None,
             telemetry: None,
         }
@@ -142,7 +142,7 @@ impl EngineBuilder {
     /// (default: the canonical [`TableIv`]), registering it with the
     /// engine's cost registry when its id is not already taken — so
     /// persisted plans naming it reload in an identically-built engine.
-    pub fn cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
+    pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = CostChoice::Instance(cost);
         self
     }
@@ -157,7 +157,7 @@ impl EngineBuilder {
 
     /// Registers an additional cost model with the engine's cost
     /// registry (checked for duplicate ids at [`EngineBuilder::build`]).
-    pub fn register_cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
+    pub fn register_cost_model(mut self, cost: CostModel) -> Self {
         self.pending_costs.push(cost);
         self
     }
@@ -281,24 +281,20 @@ impl EngineBuilder {
         }
         // Symmetric with the dataflow choice: instances self-register
         // when their id is free, ids resolve against the registry.
-        let cost: Arc<dyn CostModel> = match self.cost {
+        let cost: CostModel = match self.cost {
             CostChoice::Instance(cm) => {
                 if costs.get(cm.id()).is_none() {
-                    costs
-                        .register(Arc::clone(&cm))
-                        .expect("id checked free above");
+                    costs.register(cm).expect("id checked free above");
                 }
                 cm
             }
-            CostChoice::Id(id) => Arc::clone(
-                costs
-                    .get(id)
-                    .ok_or_else(|| BuildError::UnknownCostModel(id.label().to_string()))?,
-            ),
+            CostChoice::Id(id) => *costs
+                .get(id)
+                .ok_or_else(|| BuildError::UnknownCostModel(id.label().to_string()))?,
         };
         let mut compiler = PlanCompiler::new(self.arrays, self.hw)
             .objective(self.objective)
-            .with_cost_model(Arc::clone(&cost))
+            .with_cost_model(cost)
             .with_dataflow(Arc::clone(&dataflow));
         if let Some(cache) = self.cache {
             compiler = compiler.with_cache(cache);
@@ -333,7 +329,7 @@ pub struct Engine {
     registry: DataflowRegistry,
     dataflow: Arc<dyn Dataflow>,
     costs: CostModelRegistry,
-    cost: Arc<dyn CostModel>,
+    cost: CostModel,
     compiler: PlanCompiler,
     cluster: Cluster,
     /// Pooled single-array simulation contexts for [`Engine::simulate`]:
@@ -372,7 +368,7 @@ impl Engine {
     }
 
     /// The cost model every search, plan and report is priced under.
-    pub fn cost_model(&self) -> &Arc<dyn CostModel> {
+    pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
 
@@ -439,37 +435,10 @@ impl Engine {
             self.dataflow.as_ref(),
             problem,
             &self.hw,
-            self.cost.as_ref(),
+            &self.cost,
             self.objective,
         )
         .ok_or_else(|| self.no_mapping(problem))
-    }
-
-    /// The best mapping of `problem` in a *different* registered space
-    /// (e.g. to compare a registered extension against the engine's
-    /// default).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Dataflow`] for unregistered ids,
-    /// [`EngineError::NoMapping`] when the space cannot operate.
-    pub fn best_mapping_in(
-        &self,
-        id: DataflowId,
-        problem: &LayerProblem,
-    ) -> Result<MappingCandidate, EngineError> {
-        let df = self.registry.resolve(id)?;
-        optimize(
-            df.as_ref(),
-            problem,
-            &self.hw,
-            self.cost.as_ref(),
-            self.objective,
-        )
-        .ok_or_else(|| EngineError::NoMapping {
-            dataflow: id,
-            detail: render_problem(problem),
-        })
     }
 
     /// The compiled `(partition, mapping)` cluster plan of `problem`,
@@ -710,7 +679,7 @@ mod tests {
         // A flat on-chip hierarchy vs Table IV: the two engines must not
         // share plans (the cost descriptor is part of the plan key), and
         // each plan's energy must be scored under its own model.
-        use eyeriss_arch::cost::StaticCostModel;
+        use eyeriss_arch::cost::CostModel;
         use eyeriss_arch::EnergyModel;
         let cache = Arc::new(PlanCache::new());
         let table = Engine::builder()
@@ -719,12 +688,12 @@ mod tests {
             .plan_cache(Arc::clone(&cache))
             .build()
             .unwrap();
-        let flat_em = EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap();
-        let flat_model = StaticCostModel::new("flat", flat_em);
+        let flat_model =
+            CostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
         let flat = Engine::builder()
             .hardware(small_hw())
             .arrays(2)
-            .cost_model(Arc::new(flat_model))
+            .cost_model(flat_model)
             .plan_cache(Arc::clone(&cache))
             .build()
             .unwrap();
@@ -750,18 +719,17 @@ mod tests {
             .per_array
             .iter()
             .flat_map(|ar| &ar.tiles)
-            .map(|t| t.mapping.profile.total_energy(&flat_em))
+            .map(|t| flat_model.energy_of(&t.mapping.profile))
             .sum();
         assert_eq!(b.energy.to_bits(), rescored.to_bits());
         assert_ne!(a.energy.to_bits(), b.energy.to_bits());
-        use eyeriss_arch::cost::CostModel as _;
         assert_eq!(b.cost, flat_model.descriptor());
         assert_eq!(a.cost.id.label(), "table-iv");
     }
 
     #[test]
     fn builder_validates_cost_models() {
-        use eyeriss_arch::cost::{CostModelId, StaticCostModel};
+        use eyeriss_arch::cost::{CostModel, CostModelId};
         use eyeriss_arch::EnergyModel;
         assert!(matches!(
             Engine::builder()
@@ -769,19 +737,16 @@ mod tests {
                 .build(),
             Err(EngineError::Build(BuildError::UnknownCostModel(_)))
         ));
-        let dup = Arc::new(StaticCostModel::new("dup", EnergyModel::table_iv()));
+        let dup = CostModel::new("dup", EnergyModel::table_iv());
         assert!(matches!(
             Engine::builder()
-                .register_cost_model(Arc::clone(&dup) as Arc<dyn eyeriss_arch::CostModel>)
-                .register_cost_model(dup as Arc<dyn eyeriss_arch::CostModel>)
+                .register_cost_model(dup)
+                .register_cost_model(dup)
                 .build(),
             Err(EngineError::Build(BuildError::DuplicateCostModel(id))) if id.label() == "dup"
         ));
         // Registered models are selectable by id.
-        let lp = Arc::new(StaticCostModel::new(
-            "lp",
-            EnergyModel::new(100.0, 6.0, 2.0, 1.0, 1.0).unwrap(),
-        ));
+        let lp = CostModel::new("lp", EnergyModel::new(100.0, 6.0, 2.0, 1.0, 1.0).unwrap());
         let engine = Engine::builder()
             .register_cost_model(lp)
             .cost_model_id(CostModelId::new("lp"))

@@ -68,7 +68,7 @@
 //! use eyeriss::dataflow::search;
 //!
 //! let problem = LayerProblem::new(LayerShape::conv(384, 256, 15, 3, 1)?, 16);
-//! let em = TableIv; // the canonical CostModel; any registered model works
+//! let em = TableIv; // the canonical CostModel; any CostModel works
 //! let reg = DataflowRegistry::builtin();
 //! let mut results = Vec::new();
 //! for df in reg.iter() {
@@ -103,69 +103,6 @@ pub use eyeriss_dataflow::search::Objective;
 pub use eyeriss_dataflow::{CandidateSink, Dataflow, DataflowId, DataflowKind, DataflowRegistry};
 pub use eyeriss_nn::{LayerProblem, Workload};
 
-/// # Migration guide: the pre-`Engine` API → the builder-first API
-///
-/// The version-0.1 `#[deprecated]` shims were **removed** this release
-/// (one release after deprecation, as promised). Migrate as follows:
-///
-/// | Old entry point | New API |
-/// |---|---|
-/// | `search::best_mapping(kind, &shape, n, &hw, &em)` | `engine.best_mapping(&LayerProblem::new(shape, n))`, or `search::optimize(registry::builtin(kind), &problem, &hw, &cost, objective)` |
-/// | `search::best_mapping_with(kind, …, objective)` | same as above — the objective is part of the engine/builder |
-/// | `search::best_mappings_with(kind, &[(shape, n)], …)` | `search::optimize_all(df, &[LayerProblem], …)` |
-/// | `search::comparison_hardware(kind, pes)` | `registry::builtin(kind).comparison_hardware(pes)` (any `Dataflow` has it) |
-/// | `model::model_for(kind)` | `registry::builtin(kind)` or `DataflowRegistry::builtin().get(id)` |
-/// | `Cluster::run_conv(partition, &shape, n, …)` | `engine.run(&problem, …)`, or `Cluster::execute_partition(partition, &problem, …)` |
-/// | `Cluster::run_planned(&plan, &shape, n, …)` | `engine.run(&problem, …)` (plans cached), or `Cluster::execute(&plan, &problem, …)` |
-///
-/// ## `EnergyModel` → `CostModel` (this release)
-///
-/// Cost accounting opened up exactly like the dataflow layer did: the
-/// closed `EnergyModel` struct threaded as `&EnergyModel` through every
-/// search/plan/stats call is replaced by the open
-/// [`CostModel`](eyeriss_arch::CostModel) trait, its canonical
-/// [`TableIv`](eyeriss_arch::TableIv) implementation, and a
-/// [`CostModelRegistry`](eyeriss_arch::CostModelRegistry):
-///
-/// | Old | New |
-/// |---|---|
-/// | `search::optimize(df, &p, &hw, &EnergyModel::table_iv(), obj)` | `search::optimize(df, &p, &hw, &TableIv, obj)` — or any `&dyn CostModel` |
-/// | `EnergyModel::new(d, b, a, r, alu)` (panicked) | returns `Result<_, CostModelError>`; wrap in `StaticCostModel::new("id", em)` to search/plan under it |
-/// | `Engine::builder().energy_model(em)` | `.cost_model(Arc::new(StaticCostModel::new("id", em)))`, `.register_cost_model(..)` + `.cost_model_id(id)` |
-/// | `engine.energy_model()` | `engine.cost_model()` (an `Arc<dyn CostModel>`) and `engine.cost_registry()` |
-/// | `PlanCompiler::with_energy_model(em)` | `PlanCompiler::with_cost_model(Arc<dyn CostModel>)` |
-/// | `SimStats::energy(&em)` / `ClusterStats::energy(&em)` | same names over `&dyn CostModel`, plus unified `cost_report(..) -> CostReport` |
-/// | `profile.energy_at_level(&em, l)` / `energy_of_type(&em, t)` | `CostReport::energy_at(l)` / `energy_of(t)` from `cost.report(&profile, pes)` |
-/// | `plan_layer(df, &p, arrays, &hw, &em, ..)` | identical shape, `&dyn CostModel` in place of `&EnergyModel` |
-/// | `analysis::experiments::sensitivity::scenarios()` | `scenario_registry()` — perturbed models are registered `CostModel`s |
-///
-/// [`CostReport`](eyeriss_arch::CostReport) is the unified result
-/// vocabulary (per-level × per-data-type energy plus an analytic delay
-/// derived from per-level bandwidth); Table IV totals are bit-identical
-/// to the old `EnergyModel` path. On disk, every plan-cache key and
-/// cluster plan now records a *cost-model descriptor* (label + exact
-/// numeric fingerprint; see
-/// [`eyeriss_arch::wire::COST_DESCRIPTOR_VERSION`]),
-/// which bumped the persisted schemas: plan-cache files to
-/// `CACHE_VERSION = 2` and compiled plans to `COMPILED_VERSION = 2`
-/// (cluster plans to `PLAN_VERSION = 2`). Version-1 files predate open
-/// cost models and are rejected with a typed error — recompile them by
-/// warming a fresh cache. Loading resolves descriptors against the
-/// engine's cost registry; plans priced under distinct fingerprints
-/// never cross-hit the cache, even when they share a label.
-///
-/// Two older semantic changes to be aware of:
-///
-/// 1. **Batch size lives in [`LayerProblem`].** Every search/plan/run
-///    call takes one `problem` value instead of a `(shape, n)` pair, so
-///    caches and persisted plans agree on problem identity.
-/// 2. **Dataflows are open.** `DataflowKind` still names the paper's
-///    six, but everything dispatches through the [`Dataflow`] trait;
-///    `MappingParams::kind()` now returns `Option<DataflowKind>`
-///    (`None` for registered extensions) and `params.dataflow()` is the
-///    total function. `ParamsMismatch` carries [`DataflowId`]s.
-pub mod migration {}
-
 /// One-stop imports for the common workflows.
 pub mod prelude {
     pub use crate::engine::{Engine, EngineBuilder, ServeOptions};
@@ -173,7 +110,7 @@ pub mod prelude {
     pub use eyeriss_analysis::{run_conv_layers, run_fc_layers, run_layers, DataflowRun};
     pub use eyeriss_arch::cost::{
         CostDescriptor, CostModel, CostModelError, CostModelId, CostModelRegistry, CostReport,
-        StaticCostModel, TableIv,
+        TableIv,
     };
     pub use eyeriss_arch::energy::{EnergyModel, Level};
     pub use eyeriss_arch::{AcceleratorConfig, DataType, GridDims};
@@ -205,8 +142,8 @@ mod tests {
 
     #[test]
     fn canonical_cost_model_agrees_with_the_energy_table() {
-        // The TableIv trait object prices searches bit-identically to
-        // re-scoring the winner under the raw Table IV energy table.
+        // A searched winner's Table IV report cells are its counts times
+        // the raw Table IV energy table, and sum to `energy_of`.
         let shape = LayerShape::conv(4, 3, 9, 3, 1).unwrap();
         let rs = registry::builtin(DataflowKind::RowStationary);
         let hw = rs.comparison_hardware(256);
@@ -218,11 +155,19 @@ mod tests {
             Objective::Energy,
         )
         .unwrap();
+        let em = EnergyModel::table_iv();
+        let report = TableIv.report(&best.profile, best.active_pes);
+        for ty in DataType::ALL {
+            for level in Level::ALL {
+                assert_eq!(
+                    report.energy_cell(ty, level).to_bits(),
+                    (best.profile.of(ty).at_level(level) * em.cost(level)).to_bits()
+                );
+            }
+        }
         assert_eq!(
-            TableIv.energy_of(&best.profile).to_bits(),
-            best.profile
-                .total_energy(&EnergyModel::table_iv())
-                .to_bits()
+            report.total_energy.to_bits(),
+            TableIv.energy_of(&best.profile).to_bits()
         );
     }
 }

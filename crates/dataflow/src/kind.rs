@@ -1,14 +1,13 @@
 //! The dataflow taxonomy of Section IV and Table III.
 
 use crate::id::DataflowId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the six CNN dataflows compared in the paper.
 ///
 /// The three output-stationary variants follow the paper's renaming in
 /// Section VII: SOC-MOP -> OSA, MOC-MOP -> OSB, MOC-SOP -> OSC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataflowKind {
     /// Row stationary (Section V) — the paper's contribution.
     RowStationary,
@@ -75,28 +74,6 @@ impl DataflowKind {
             DataflowKind::OutputStationaryB => 32.0,
             DataflowKind::OutputStationaryC => 4.0,
             DataflowKind::NoLocalReuse => 0.0,
-        }
-    }
-
-    /// One-line data-handling summary (Table III).
-    pub fn data_handling(self) -> &'static str {
-        match self {
-            DataflowKind::RowStationary => {
-                "all reuse types and psum accumulation at RF, array and buffer"
-            }
-            DataflowKind::WeightStationary => {
-                "maximize convolutional and filter reuse of weights in the RF"
-            }
-            DataflowKind::OutputStationaryA => {
-                "maximize psum accumulation in RF; convolutional reuse in array"
-            }
-            DataflowKind::OutputStationaryB => {
-                "maximize psum accumulation in RF; convolutional and ifmap reuse in array"
-            }
-            DataflowKind::OutputStationaryC => {
-                "maximize psum accumulation in RF; ifmap reuse in array"
-            }
-            DataflowKind::NoLocalReuse => "psum accumulation and ifmap reuse in array",
         }
     }
 }

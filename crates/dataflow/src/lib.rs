@@ -40,10 +40,8 @@
 //! # Ok::<(), eyeriss_nn::ShapeError>(())
 //! ```
 //!
-//! The optimizer prices candidates through the open
-//! [`CostModel`](eyeriss_arch::CostModel) trait the same way it maps
-//! through `&dyn Dataflow`: pass any model from a
-//! [`CostModelRegistry`](eyeriss_arch::CostModelRegistry) in place of
+//! The optimizer prices candidates under any
+//! [`CostModel`](eyeriss_arch::CostModel): pass one in place of
 //! [`TableIv`](eyeriss_arch::TableIv) above.
 
 pub mod candidate;

@@ -150,7 +150,8 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::energy::{EnergyModel, Level};
+    use eyeriss_arch::cost::TableIv;
+    use eyeriss_arch::energy::Level;
     use eyeriss_nn::alexnet;
 
     fn hw(pes: usize) -> AcceleratorConfig {
@@ -158,13 +159,12 @@ mod tests {
     }
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
-        let em = EnergyModel::table_iv();
         crate::model::mappings_of(&NoLocalReuseModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
-                a.profile
-                    .total_energy(&em)
-                    .partial_cmp(&b.profile.total_energy(&em))
+                TableIv
+                    .energy_of(&a.profile)
+                    .partial_cmp(&TableIv.energy_of(&b.profile))
                     .unwrap()
             })
             .expect("NLR feasible")
@@ -182,11 +182,10 @@ mod tests {
     #[test]
     fn buffer_energy_dominates_on_chip() {
         // "Most of its data accesses come from the global buffer directly."
-        let em = EnergyModel::table_iv();
         let conv2 = &alexnet::conv_layers()[1].shape;
         let b = best(conv2, 16, 256);
-        let buf = b.profile.energy_at_level(&em, Level::Buffer);
-        let arr = b.profile.energy_at_level(&em, Level::Array);
+        let buf = TableIv.energy_at_level(&b.profile, Level::Buffer);
+        let arr = TableIv.energy_at_level(&b.profile, Level::Array);
         assert!(buf > arr);
     }
 
@@ -194,12 +193,11 @@ mod tests {
     fn weights_dominate_data_energy() {
         // Fig. 12d: NLR "consumes most of its energy for weight accesses".
         use eyeriss_arch::access::DataType;
-        let em = EnergyModel::table_iv();
         let conv3 = &alexnet::conv_layers()[2].shape;
         let b = best(conv3, 16, 256);
-        let w = b.profile.energy_of_type(&em, DataType::Filter);
-        let i = b.profile.energy_of_type(&em, DataType::Ifmap);
-        let p = b.profile.energy_of_type(&em, DataType::Psum);
+        let w = TableIv.energy_of_type(&b.profile, DataType::Filter);
+        let i = TableIv.energy_of_type(&b.profile, DataType::Ifmap);
+        let p = TableIv.energy_of_type(&b.profile, DataType::Psum);
         assert!(w > i && w > p, "w={w:.2e} i={i:.2e} p={p:.2e}");
     }
 

@@ -208,7 +208,7 @@ fn evaluate_fc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::energy::EnergyModel;
+    use eyeriss_arch::cost::TableIv;
     use eyeriss_nn::alexnet;
 
     fn hw(pes: usize) -> AcceleratorConfig {
@@ -216,13 +216,12 @@ mod tests {
     }
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
-        let em = EnergyModel::table_iv();
         crate::model::mappings_of(&OutputStationaryBModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
-                a.profile
-                    .total_energy(&em)
-                    .partial_cmp(&b.profile.total_energy(&em))
+                TableIv
+                    .energy_of(&a.profile)
+                    .partial_cmp(&TableIv.energy_of(&b.profile))
                     .unwrap()
             })
             .expect("OSB feasible")

@@ -128,7 +128,7 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::energy::EnergyModel;
+    use eyeriss_arch::cost::TableIv;
     use eyeriss_nn::alexnet;
 
     fn hw(pes: usize) -> AcceleratorConfig {
@@ -136,13 +136,12 @@ mod tests {
     }
 
     fn best(shape: &LayerShape, n: usize, pes: usize) -> MappingCandidate {
-        let em = EnergyModel::table_iv();
         crate::model::mappings_of(&OutputStationaryCModel, shape, n, &hw(pes))
             .into_iter()
             .min_by(|a, b| {
-                a.profile
-                    .total_energy(&em)
-                    .partial_cmp(&b.profile.total_energy(&em))
+                TableIv
+                    .energy_of(&a.profile)
+                    .partial_cmp(&TableIv.energy_of(&b.profile))
                     .unwrap()
             })
             .expect("OSC feasible")
@@ -165,9 +164,8 @@ mod tests {
     fn batch_replication_helps_weights() {
         // Section VII-B: OSC improves significantly with batch > 1.
         let conv3 = &alexnet::conv_layers()[2].shape;
-        let em = EnergyModel::table_iv();
-        let e1 = best(conv3, 1, 1024).profile.total_energy(&em) / conv3.macs(1) as f64;
-        let e16 = best(conv3, 16, 1024).profile.total_energy(&em) / conv3.macs(16) as f64;
+        let e1 = TableIv.energy_of(&best(conv3, 1, 1024).profile) / conv3.macs(1) as f64;
+        let e16 = TableIv.energy_of(&best(conv3, 16, 1024).profile) / conv3.macs(16) as f64;
         assert!(e16 < 0.8 * e1, "N=16 {e16:.2} vs N=1 {e1:.2}");
     }
 

@@ -561,7 +561,7 @@ fn field_min(a: &AccessCounts, b: &AccessCounts) -> AccessCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::energy::EnergyModel;
+    use eyeriss_arch::cost::TableIv;
     use eyeriss_nn::alexnet;
 
     fn hw256() -> AcceleratorConfig {
@@ -569,13 +569,12 @@ mod tests {
     }
 
     fn best(shape: &LayerShape, n: usize, hw: &AcceleratorConfig) -> MappingCandidate {
-        let em = EnergyModel::table_iv();
         crate::model::mappings_of(&RowStationaryModel, shape, n, hw)
             .into_iter()
             .min_by(|a, b| {
-                a.profile
-                    .total_energy(&em)
-                    .partial_cmp(&b.profile.total_energy(&em))
+                TableIv
+                    .energy_of(&a.profile)
+                    .partial_cmp(&TableIv.energy_of(&b.profile))
                     .unwrap()
             })
             .expect("RS must be feasible on every AlexNet layer")
@@ -605,14 +604,13 @@ mod tests {
         // Fig. 10: "the energy consumption of CONV layers is dominated by
         // RF accesses", with RF : (buffer + array) roughly 4:1.
         use eyeriss_arch::energy::Level;
-        let em = EnergyModel::table_iv();
         let mut rf = 0.0;
         let mut rest = 0.0;
         for layer in alexnet::conv_layers() {
             let b = best(&layer.shape, 16, &hw256());
-            rf += b.profile.energy_at_level(&em, Level::Rf);
-            rest += b.profile.energy_at_level(&em, Level::Buffer)
-                + b.profile.energy_at_level(&em, Level::Array);
+            rf += TableIv.energy_at_level(&b.profile, Level::Rf);
+            rest += TableIv.energy_at_level(&b.profile, Level::Buffer)
+                + TableIv.energy_at_level(&b.profile, Level::Array);
         }
         let ratio = rf / rest;
         assert!(
@@ -626,11 +624,10 @@ mod tests {
         // Fig. 10: "DRAM accesses dominate the energy consumption of FC
         // layers due to the lack of convolutional data reuse."
         use eyeriss_arch::energy::Level;
-        let em = EnergyModel::table_iv();
         let layer = &alexnet::fc_layers()[1]; // FC2
         let b = best(&layer.shape, 16, &hw256());
-        let dram = b.profile.energy_at_level(&em, Level::Dram);
-        assert!(dram > 0.5 * b.profile.total_energy(&em));
+        let dram = TableIv.energy_at_level(&b.profile, Level::Dram);
+        assert!(dram > 0.5 * TableIv.energy_of(&b.profile));
     }
 
     #[test]
@@ -648,12 +645,12 @@ mod tests {
 
     #[test]
     fn bigger_batch_does_not_hurt_energy_per_op() {
-        let em = EnergyModel::table_iv();
         let layer = &alexnet::conv_layers()[1];
         let hw = hw256();
-        let e1 = best(&layer.shape, 1, &hw).profile.total_energy(&em) / layer.shape.macs(1) as f64;
+        let e1 =
+            TableIv.energy_of(&best(&layer.shape, 1, &hw).profile) / layer.shape.macs(1) as f64;
         let e16 =
-            best(&layer.shape, 16, &hw).profile.total_energy(&em) / layer.shape.macs(16) as f64;
+            TableIv.energy_of(&best(&layer.shape, 16, &hw).profile) / layer.shape.macs(16) as f64;
         assert!(e16 <= e1 * 1.02, "N=16 {e16} vs N=1 {e1}");
     }
 
@@ -712,7 +709,6 @@ mod tests {
 
     #[test]
     fn bounds_sit_below_every_candidate_they_cover() {
-        use eyeriss_arch::cost::{CostModel, TableIv};
         let shapes: Vec<LayerShape> = alexnet::all_layers()
             .into_iter()
             .chain(eyeriss_nn::mobilenet::mobilenet_v1().into_iter().take(6))

@@ -22,12 +22,13 @@
 //!   O(front), not O(space).
 //! * **The bound.** A space may ask whether a group of candidates can be
 //!   skipped, handing over a profile below every count of the group.
-//!   Priced by the same scorer (with a 1e-9 margin for rounding), a bound
+//!   Priced like a candidate (with a 1e-9 margin for rounding), a bound
 //!   above the band's cut proves no covered candidate can enter the band,
 //!   and a bound at or above the score of a front member with more PEs
 //!   proves none can win it; either way skipping the group leaves the
-//!   winner unchanged. Pruning needs a monotone objective, so it is off
-//!   under cost models with negative energies or non-positive bandwidths.
+//!   winner unchanged. Pruning needs an objective monotone in the counts.
+//!   Every [`CostModel`] is: it can only be built with finite,
+//!   non-negative energy costs and positive bandwidths.
 //!
 //! The optimizer never learns *which* dataflow it is searching, so spaces
 //! registered through [`crate::DataflowRegistry`] beyond the paper's six
@@ -36,10 +37,9 @@
 use crate::candidate::MappingCandidate;
 use crate::dataflow::{CandidateSink, Dataflow};
 use crate::id::DataflowId;
-use eyeriss_arch::access::{DataType, LayerAccessProfile};
+use eyeriss_arch::access::LayerAccessProfile;
 use eyeriss_arch::config::AcceleratorConfig;
-use eyeriss_arch::cost::{CostModel, CostReport};
-use eyeriss_arch::energy::Level;
+use eyeriss_arch::cost::CostModel;
 use eyeriss_nn::LayerProblem;
 use eyeriss_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::HashMap;
@@ -106,23 +106,18 @@ impl Objective {
     /// Folds an `(energy, delay)` pair into this objective's scalar score
     /// (lower is better). The single place the objective taxonomy is
     /// matched — search, cluster planning and serving all score through
-    /// here, generic over whatever [`CostModel`] produced the inputs.
+    /// here.
     pub fn score(self, energy: f64, delay: f64) -> f64 {
         match self {
             Objective::Energy => energy,
             Objective::EnergyDelayProduct => energy * delay,
         }
     }
-
-    /// [`Objective::score`] over a priced [`CostReport`].
-    pub fn score_report(self, report: &CostReport) -> f64 {
-        self.score(report.total_energy, report.delay)
-    }
 }
 
 /// Finds the best mapping of `problem` in `df`'s space on `hw` under
-/// `objective`, priced by `cost` — any registered [`CostModel`], searched
-/// exactly like the canonical Table IV model.
+/// `objective`, priced by `cost` — any [`CostModel`], searched exactly
+/// like the canonical Table IV model.
 /// Returns `None` when the dataflow cannot operate (e.g. WS
 /// at batch 64 on 256 PEs, Fig. 11a).
 ///
@@ -145,7 +140,7 @@ pub fn optimize(
     df: &dyn Dataflow,
     problem: &LayerProblem,
     hw: &AcceleratorConfig,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     objective: Objective,
 ) -> Option<MappingCandidate> {
     let tele = search_tele();
@@ -162,7 +157,7 @@ fn optimize_impl(
     df: &dyn Dataflow,
     problem: &LayerProblem,
     hw: &AcceleratorConfig,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     objective: Objective,
     tele: &SearchTele,
 ) -> Option<MappingCandidate> {
@@ -172,71 +167,11 @@ fn optimize_impl(
     race.finish()
 }
 
-/// Scores profiles under one `(cost model, objective)` pair.
-///
-/// Scoring is hot: the model's ten numbers are snapshot once so scoring
-/// never re-enters the trait object. The arithmetic replicates
-/// `CostModel::energy_of`/`delay_of` operation for operation, so scores
-/// stay bit-identical to the provided methods.
-struct Scorer {
-    costs: [f64; 5],
-    bandwidths: [f64; 5],
-    objective: Objective,
-}
-
-impl Scorer {
-    fn new(cost: &dyn CostModel, objective: Objective) -> Self {
-        Scorer {
-            costs: Level::ALL.map(|l| cost.energy_cost(l)),
-            bandwidths: Level::ALL.map(|l| cost.bandwidth(l)),
-            objective,
-        }
-    }
-
-    /// True when more accesses can never lower a score, the premise of
-    /// pruning by lower bounds.
-    fn is_monotone(&self) -> bool {
-        self.costs.iter().all(|&c| c >= 0.0) && self.bandwidths.iter().all(|&b| b > 0.0)
-    }
-
-    fn score(&self, profile: &LayerAccessProfile, active_pes: usize) -> f64 {
-        let data: f64 = DataType::ALL
-            .iter()
-            .map(|&t| {
-                Level::ALL
-                    .iter()
-                    .zip(&self.costs)
-                    .map(|(&l, &ec)| profile.of(t).at_level(l) * ec)
-                    .sum::<f64>()
-            })
-            .sum();
-        let energy = data + profile.alu_ops * self.costs[Level::ALL.len() - 1];
-        let delay = if self.objective == Objective::EnergyDelayProduct {
-            let mut d = profile.alu_ops / active_pes as f64;
-            for (&l, &bw) in Level::ALL.iter().zip(&self.bandwidths) {
-                if l == Level::Alu {
-                    continue;
-                }
-                let words: f64 = DataType::ALL
-                    .iter()
-                    .map(|&t| profile.of(t).at_level(l))
-                    .sum();
-                d = d.max(words / bw);
-            }
-            d
-        } else {
-            0.0
-        };
-        self.objective.score(energy, delay)
-    }
-}
-
 /// The optimizer's [`CandidateSink`]: the running best score and the
 /// tie band's Pareto front (see the module docs).
 struct Race {
-    scorer: Scorer,
-    /// Whether bounds may prune (the objective is monotone in counts).
-    prunable: bool,
+    cost: CostModel,
+    objective: Objective,
     /// The lowest score offered or seeded so far.
     incumbent: f64,
     /// Band members and their scores: distinct active-PE counts, none
@@ -247,11 +182,10 @@ struct Race {
 }
 
 impl Race {
-    fn new(cost: &dyn CostModel, objective: Objective) -> Self {
-        let scorer = Scorer::new(cost, objective);
+    fn new(cost: &CostModel, objective: Objective) -> Self {
         Race {
-            prunable: scorer.is_monotone(),
-            scorer,
+            cost: *cost,
+            objective,
             incumbent: f64::INFINITY,
             front: Vec::new(),
             scored: 0,
@@ -264,7 +198,7 @@ impl Race {
         let s = candidate
             .profile
             .is_valid()
-            .then(|| self.scorer.score(&candidate.profile, candidate.active_pes))?;
+            .then(|| self.price(&candidate.profile, candidate.active_pes))?;
         if s.is_nan() {
             return None;
         }
@@ -320,14 +254,15 @@ impl CandidateSink for Race {
         }
     }
 
-    fn price(&self, lower: &LayerAccessProfile, active_pes: usize) -> f64 {
-        self.scorer.score(lower, active_pes)
+    fn price(&self, profile: &LayerAccessProfile, active_pes: usize) -> f64 {
+        let delay = match self.objective {
+            Objective::Energy => 0.0,
+            Objective::EnergyDelayProduct => self.cost.delay_of(profile, active_pes),
+        };
+        self.objective.score(self.cost.energy_of(profile), delay)
     }
 
     fn prunes(&self, lower: &LayerAccessProfile, active_pes: usize) -> bool {
-        if !self.prunable {
-            return false;
-        }
         // No covered candidate scores below `floor`: none can enter the
         // band above the cut, nor beat a member with more PEs and no
         // higher score (or as many PEs and a lower score).
@@ -355,7 +290,7 @@ pub fn optimize_all(
     df: &dyn Dataflow,
     problems: &[LayerProblem],
     hw: &AcceleratorConfig,
-    cost: &dyn CostModel,
+    cost: &CostModel,
     objective: Objective,
 ) -> Vec<Option<MappingCandidate>> {
     let mut memo = MappingMemo::new(hw, cost, objective);
@@ -391,7 +326,7 @@ pub fn optimize_all(
 /// ```
 pub struct MappingMemo<'a> {
     hw: &'a AcceleratorConfig,
-    cost: &'a dyn CostModel,
+    cost: &'a CostModel,
     objective: Objective,
     cache: HashMap<(DataflowId, LayerProblem), Option<MappingCandidate>>,
     hits: usize,
@@ -411,7 +346,7 @@ impl std::fmt::Debug for MappingMemo<'_> {
 
 impl<'a> MappingMemo<'a> {
     /// Creates an empty memo pinned to one operating point.
-    pub fn new(hw: &'a AcceleratorConfig, cost: &'a dyn CostModel, objective: Objective) -> Self {
+    pub fn new(hw: &'a AcceleratorConfig, cost: &'a CostModel, objective: Objective) -> Self {
         MappingMemo {
             hw,
             cost,
@@ -461,7 +396,7 @@ mod tests {
     use super::*;
     use crate::kind::DataflowKind;
     use crate::registry::builtin;
-    use eyeriss_arch::cost::{StaticCostModel, TableIv};
+    use eyeriss_arch::cost::TableIv;
     use eyeriss_arch::energy::{EnergyModel, Level};
     use eyeriss_nn::{alexnet, LayerShape};
 
@@ -473,22 +408,20 @@ mod tests {
     fn rs_beats_others_on_conv_aggregate() {
         // The headline claim, at one operating point: RS total CONV energy
         // at 256 PEs / batch 16 is lower than every other dataflow's.
-        let em = EnergyModel::table_iv();
         let conv = alexnet::conv_layers();
         let total = |kind: DataflowKind| -> Option<f64> {
             let df = builtin(kind);
             let hw = df.comparison_hardware(256);
             let mut sum = 0.0;
             for layer in &conv {
-                sum += optimize(
+                let best = optimize(
                     df,
                     &problem(&layer.shape, 16),
                     &hw,
                     &TableIv,
                     Objective::Energy,
-                )?
-                .profile
-                .total_energy(&em);
+                )?;
+                sum += TableIv.energy_of(&best.profile);
             }
             Some(sum)
         };
@@ -502,14 +435,13 @@ mod tests {
 
     #[test]
     fn edp_objective_never_picks_lower_utilization_for_worse_energy_delay() {
-        let em = EnergyModel::table_iv();
         let conv5 = &alexnet::conv_layers()[4].shape;
         let rs = builtin(DataflowKind::RowStationary);
         let hw = rs.comparison_hardware(256);
         let p = problem(conv5, 16);
         let by_energy = optimize(rs, &p, &hw, &TableIv, Objective::Energy).unwrap();
         let by_edp = optimize(rs, &p, &hw, &TableIv, Objective::EnergyDelayProduct).unwrap();
-        let edp = |c: &MappingCandidate| c.profile.total_energy(&em) * c.delay();
+        let edp = |c: &MappingCandidate| TableIv.energy_of(&c.profile) * c.delay();
         assert!(edp(&by_edp) <= edp(&by_energy) + 1e-6);
     }
 
@@ -582,20 +514,17 @@ mod tests {
     #[test]
     fn custom_cost_models_steer_the_search() {
         // A DRAM-free pricing makes buffer traffic the dominant term; the
-        // optimizer must honor whatever model it is handed, and the
-        // canonical model must agree bit-exactly with the old
-        // EnergyModel-priced path.
+        // optimizer must honor whatever model it is handed.
         let conv3 = &alexnet::conv_layers()[2].shape;
         let rs = builtin(DataflowKind::RowStationary);
         let hw = rs.comparison_hardware(256);
         let p = problem(conv3, 16);
         let table = optimize(rs, &p, &hw, &TableIv, Objective::Energy).unwrap();
-        let flat = StaticCostModel::new(
+        let flat = CostModel::new(
             "flat-onchip",
             EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap(),
         );
         let under_flat = optimize(rs, &p, &hw, &flat, Objective::Energy).unwrap();
-        use eyeriss_arch::cost::CostModel;
         assert!(
             flat.energy_of(&under_flat.profile) <= flat.energy_of(&table.profile),
             "search under the flat model must be at least as good under it"
@@ -603,7 +532,7 @@ mod tests {
         // A bandwidth-starved DRAM channel turns the EDP search
         // latency-aware: the chosen mapping's analytic delay under the
         // custom model bounds the Table IV winner's.
-        let starved = StaticCostModel::new("starved", EnergyModel::table_iv())
+        let starved = CostModel::new("starved", EnergyModel::table_iv())
             .with_bandwidth(Level::Dram, 0.25)
             .unwrap();
         let under_starved = optimize(rs, &p, &hw, &starved, Objective::EnergyDelayProduct).unwrap();
@@ -615,12 +544,12 @@ mod tests {
     }
 
     /// The exhaustive scan the fold replaced, kept as its oracle: score
-    /// every enumerated candidate through the provided `CostModel`
-    /// methods, then take the most active PEs within the band (the lower
-    /// score, then the later candidate, on ties).
+    /// every enumerated candidate through the `CostModel` methods, then
+    /// take the most active PEs within the band (the lower score, then
+    /// the later candidate, on ties).
     fn exhaustive(
         mut cands: Vec<MappingCandidate>,
-        cost: &dyn CostModel,
+        cost: &CostModel,
         objective: Objective,
     ) -> Option<MappingCandidate> {
         let scores: Vec<f64> = cands
@@ -727,7 +656,7 @@ mod tests {
         shapes: &[LayerShape],
         hws: &[AcceleratorConfig],
         batches: &[usize],
-        cost: &dyn CostModel,
+        cost: &CostModel,
     ) -> Parity {
         let mut tally = Parity::default();
         for shape in shapes {
@@ -790,10 +719,10 @@ mod tests {
         );
         // Priced under models other than Table IV, including a latency
         // bound that makes the EDP delay depend on DRAM traffic.
-        let starved = StaticCostModel::new("starved", EnergyModel::table_iv())
+        let starved = CostModel::new("starved", EnergyModel::table_iv())
             .with_bandwidth(Level::Dram, 0.25)
             .unwrap();
-        let flat = StaticCostModel::new(
+        let flat = CostModel::new(
             "flat-onchip",
             EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap(),
         );
@@ -801,22 +730,6 @@ mod tests {
         let chip = [AcceleratorConfig::eyeriss_chip()];
         assert_parity(rs, conv, &chip, &[3], &starved);
         assert_parity(rs, conv, &chip, &[3], &flat);
-        // A model that pays back for array hops is not monotone in the
-        // counts, so no bound may prune under it.
-        struct Rebate;
-        impl CostModel for Rebate {
-            fn id(&self) -> eyeriss_arch::cost::CostModelId {
-                eyeriss_arch::cost::CostModelId::new("rebate")
-            }
-            fn energy_cost(&self, level: Level) -> f64 {
-                match level {
-                    Level::Array => -0.1,
-                    other => TableIv.energy_cost(other),
-                }
-            }
-        }
-        let tally = assert_parity(rs, conv, &chip, &[3], &Rebate);
-        assert!(tally.scored >= tally.enumerated, "{tally:?}");
     }
 
     /// The full parity corpus: every AlexNet, VGG-16 and

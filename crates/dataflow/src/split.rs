@@ -138,15 +138,23 @@ pub fn psum_counts_exact(unique: f64, total: f64, b: f64, c: f64) -> AccessCount
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::energy::EnergyModel;
+    use eyeriss_arch::access::LayerAccessProfile;
+    use eyeriss_arch::cost::TableIv;
     use proptest::prelude::*;
+
+    /// Table IV energy of one data type's counts.
+    fn energy(counts: AccessCounts) -> f64 {
+        let mut p = LayerAccessProfile::new();
+        p.ifmap = counts;
+        TableIv.energy_of(&p)
+    }
 
     #[test]
     fn fig8_example_input_energy() {
         // Fig. 8: reuse 24 = 1 x 2 x 3 x 4. Eq. (3):
         // 1*200 + 2*6 + 6*2 + 24*1 = 248 per datum.
         let s = ReuseSplit::new(1.0, 2.0, 3.0, 4.0);
-        let e = s.input_counts(1.0).energy(&EnergyModel::table_iv());
+        let e = energy(s.input_counts(1.0));
         assert_eq!(e, 200.0 + 12.0 + 12.0 + 24.0);
     }
 
@@ -156,7 +164,7 @@ mod tests {
         // (2*2-1)*200 + 2*2*(3-1)*6 + 2*3*(3-1)*2 + 2*2*3*3*(2-1)*1
         // = 600 + 48 + 24 + 36 = 708.
         let s = ReuseSplit::new(2.0, 3.0, 3.0, 2.0);
-        let e = s.psum_counts(1.0).energy(&EnergyModel::table_iv());
+        let e = energy(s.psum_counts(1.0));
         assert_eq!(e, 708.0);
     }
 
@@ -255,9 +263,8 @@ mod tests {
             // boundary adding the RF/array hop costs more than it saves).
             prop_assume!(d1 < d2);
             let total = 100.0;
-            let m = EnergyModel::table_iv();
-            let hi = ReuseSplit::new(1.0, total / d1, 1.0, d1).input_counts(1.0).energy(&m);
-            let lo = ReuseSplit::new(1.0, total / d2, 1.0, d2).input_counts(1.0).energy(&m);
+            let hi = energy(ReuseSplit::new(1.0, total / d1, 1.0, d1).input_counts(1.0));
+            let lo = energy(ReuseSplit::new(1.0, total / d2, 1.0, d2).input_counts(1.0));
             prop_assert!(lo <= hi + 1e-9);
         }
     }

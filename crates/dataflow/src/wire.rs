@@ -187,13 +187,11 @@ mod tests {
     use crate::search::{self, Objective};
     use eyeriss_arch::config::AcceleratorConfig;
     use eyeriss_arch::cost::TableIv;
-    use eyeriss_arch::energy::EnergyModel;
     use eyeriss_nn::{LayerProblem, LayerShape};
     use std::sync::Arc;
 
     #[test]
     fn searched_candidates_roundtrip_bit_exactly() {
-        let em = EnergyModel::table_iv();
         let reg = DataflowRegistry::builtin();
         let p = LayerProblem::new(LayerShape::conv(8, 4, 13, 3, 2).unwrap(), 2);
         for df in reg.iter() {
@@ -205,8 +203,8 @@ mod tests {
             let back = decode_candidate(&encode_candidate(&best), &reg).unwrap();
             assert_eq!(back, best, "{} candidate diverged", df.id());
             assert_eq!(
-                back.profile.total_energy(&em).to_bits(),
-                best.profile.total_energy(&em).to_bits(),
+                TableIv.energy_of(&back.profile).to_bits(),
+                TableIv.energy_of(&best.profile).to_bits(),
                 "{} energy lost bits",
                 df.id()
             );

@@ -89,7 +89,7 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::cost::{CostModel, TableIv};
+    use eyeriss_arch::cost::TableIv;
     use eyeriss_arch::{DataType, Level};
     use std::time::Duration;
 

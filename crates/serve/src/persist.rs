@@ -413,15 +413,15 @@ mod tests {
 
     #[test]
     fn distinct_cost_models_keep_distinct_plans() {
-        use eyeriss_arch::cost::StaticCostModel;
+        use eyeriss_arch::cost::CostModel;
         use eyeriss_arch::EnergyModel;
         let cache = Arc::new(PlanCache::new());
         let shape = LayerShape::conv(8, 3, 13, 3, 2).unwrap();
         let table = PlanCompiler::new(2, small_hw()).with_cache(Arc::clone(&cache));
         let flat_model =
-            StaticCostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
+            CostModel::new("flat", EnergyModel::new(200.0, 2.0, 2.0, 1.0, 1.0).unwrap());
         let flat = PlanCompiler::new(2, small_hw())
-            .with_cost_model(Arc::new(flat_model))
+            .with_cost_model(flat_model)
             .with_cache(Arc::clone(&cache));
         table.compile_layer(&shape, 2).unwrap();
         flat.compile_layer(&shape, 2).unwrap();
@@ -439,7 +439,7 @@ mod tests {
         );
         assert!(matches!(missing, Err(ServeError::Wire(_))));
         let mut costs = CostModelRegistry::builtin();
-        costs.register(Arc::new(flat_model)).unwrap();
+        costs.register(flat_model).unwrap();
         let cold = PlanCache::load(&path, &DataflowRegistry::builtin(), &costs).unwrap();
         assert_eq!(cold.len(), 2, "distinct fingerprints stay distinct");
         std::fs::remove_file(&path).ok();

@@ -12,7 +12,7 @@
 //! executes cached plans via [`eyeriss_cluster::Cluster::execute`].
 
 use crate::error::ServeError;
-use eyeriss_arch::cost::{table_iv_shared, CostDescriptor, CostModel, CostReport};
+use eyeriss_arch::cost::{CostDescriptor, CostModel, CostReport, TableIv};
 use eyeriss_arch::AcceleratorConfig;
 use eyeriss_cluster::{plan_layer, ClusterPlan, SharedDram};
 use eyeriss_dataflow::registry::builtin_shared;
@@ -53,7 +53,7 @@ impl PlanKey {
         dataflow: DataflowId,
         objective: Objective,
         hw: &AcceleratorConfig,
-        cost: &dyn CostModel,
+        cost: &CostModel,
     ) -> Self {
         PlanKey {
             shape: problem.shape,
@@ -311,7 +311,7 @@ impl CompiledPlan {
     /// [`CostReport`] vocabulary under `cost` (weighted stages
     /// accumulated sequentially; each stage's delay baseline is its
     /// plan's cluster delay).
-    pub fn cost_report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn cost_report(&self, cost: &CostModel) -> CostReport {
         let mut total = CostReport::zero(cost.descriptor());
         for s in &self.stages {
             if let StagePlan::Layer { plan, .. } = s {
@@ -355,7 +355,7 @@ impl CompiledPlan {
 #[derive(Clone)]
 pub struct PlanCompiler {
     hw: AcceleratorConfig,
-    cost: Arc<dyn CostModel>,
+    cost: CostModel,
     dataflow: Arc<dyn Dataflow>,
     objective: Objective,
     arrays: usize,
@@ -388,7 +388,7 @@ impl PlanCompiler {
         assert!(arrays > 0, "compiler needs at least one array");
         PlanCompiler {
             hw,
-            cost: table_iv_shared(),
+            cost: TableIv,
             dataflow: builtin_shared(DataflowKind::RowStationary),
             objective: Objective::EnergyDelayProduct,
             arrays,
@@ -403,17 +403,16 @@ impl PlanCompiler {
         self
     }
 
-    /// Overrides the cost model the plan search prices under (any
-    /// registered [`CostModel`]). The model's descriptor participates in
-    /// plan-cache keys, so compilers pricing under distinct fingerprints
-    /// never share plans.
-    pub fn with_cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
+    /// Overrides the cost model the plan search prices under. The
+    /// model's descriptor participates in plan-cache keys, so compilers
+    /// pricing under distinct fingerprints never share plans.
+    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
     }
 
     /// The cost model this compiler prices under.
-    pub fn cost_model(&self) -> &Arc<dyn CostModel> {
+    pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
 
@@ -502,7 +501,7 @@ impl PlanCompiler {
             self.dataflow.id(),
             self.objective,
             &self.hw,
-            self.cost.as_ref(),
+            &self.cost,
         );
         self.cache.lookup(key, || {
             plan_layer(
@@ -510,7 +509,7 @@ impl PlanCompiler {
                 &problem,
                 self.arrays,
                 &self.hw,
-                self.cost.as_ref(),
+                &self.cost,
                 &self.shared,
                 self.objective,
             )

@@ -148,7 +148,7 @@ impl NetPlans {
             .unwrap_or_else(PoisonError::into_inner);
         Arc::clone(memo.entry(plan.batch).or_insert_with(|| {
             Arc::new((
-                plan.cost_report(self.base.cost_model().as_ref()),
+                plan.cost_report(self.base.cost_model()),
                 plan.analytic_delay(),
             ))
         }))

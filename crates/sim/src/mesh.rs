@@ -9,7 +9,7 @@
 //! traverse router-to-router links. This module models that second tier:
 //! it counts local and router hops per transfer mode and exposes the
 //! aggregate router bandwidth, so measured [`crate::SimStats`] and a
-//! bandwidth-aware [`StaticCostModel`](eyeriss_arch::cost::StaticCostModel)
+//! bandwidth-aware [`CostModel`](eyeriss_arch::cost::CostModel)
 //! both see the mesh.
 //!
 //! The router charge uses the same closed form as the `flex-rs` analytical
@@ -202,7 +202,7 @@ impl HierarchicalMesh {
     /// router-to-router link moves `link_words_per_cycle`: every
     /// inter-cluster link of the 2-D mesh operates concurrently. Feed
     /// this to
-    /// [`StaticCostModel::with_bandwidth`](eyeriss_arch::cost::StaticCostModel::with_bandwidth)
+    /// [`CostModel::with_bandwidth`](eyeriss_arch::cost::CostModel::with_bandwidth)
     /// at [`Level::Array`](eyeriss_arch::energy::Level::Array) to let the
     /// analytic delay see the mesh.
     pub fn aggregate_bandwidth(&self, link_words_per_cycle: f64) -> f64 {
@@ -218,7 +218,7 @@ impl HierarchicalMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eyeriss_arch::cost::{CostModel, StaticCostModel};
+    use eyeriss_arch::cost::CostModel;
     use eyeriss_arch::energy::{EnergyModel, Level};
 
     fn chip_mesh() -> HierarchicalMesh {
@@ -291,7 +291,7 @@ mod tests {
         let m = chip_mesh(); // 4x14 cluster grid: 4*13 + 14*3 = 94 links
         let bw = m.aggregate_bandwidth(2.0);
         assert_eq!(bw, 188.0);
-        let priced = StaticCostModel::new("mesh-bw", EnergyModel::table_iv())
+        let priced = CostModel::new("mesh-bw", EnergyModel::table_iv())
             .with_bandwidth(Level::Array, bw)
             .unwrap();
         assert_eq!(priced.bandwidth(Level::Array), 188.0);

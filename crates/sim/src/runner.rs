@@ -37,14 +37,14 @@ impl NetworkRun {
     }
 
     /// Total normalized energy across stages.
-    pub fn total_energy(&self, cost: &dyn eyeriss_arch::CostModel) -> f64 {
+    pub fn total_energy(&self, cost: &eyeriss_arch::CostModel) -> f64 {
         self.stages.iter().map(|s| s.stats.energy(cost)).sum()
     }
 
     /// Prices the whole run into the unified
     /// [`CostReport`](eyeriss_arch::CostReport) vocabulary (stage reports
     /// accumulated: energies and measured delays add).
-    pub fn cost_report(&self, cost: &dyn eyeriss_arch::CostModel) -> eyeriss_arch::CostReport {
+    pub fn cost_report(&self, cost: &eyeriss_arch::CostModel) -> eyeriss_arch::CostReport {
         let mut total = eyeriss_arch::CostReport::zero(cost.descriptor());
         for s in &self.stages {
             total.accumulate(&s.stats.cost_report(cost));

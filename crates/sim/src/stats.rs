@@ -66,7 +66,7 @@ impl SimStats {
     }
 
     /// Normalized data-movement + compute energy under `cost`.
-    pub fn energy(&self, cost: &dyn CostModel) -> f64 {
+    pub fn energy(&self, cost: &CostModel) -> f64 {
         cost.energy_of(&self.profile)
     }
 
@@ -74,7 +74,7 @@ impl SimStats {
     /// vocabulary. The delay baseline is the *measured* wall clock
     /// ([`SimStats::total_cycles`]), floored by the model's per-level
     /// bandwidths.
-    pub fn cost_report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn cost_report(&self, cost: &CostModel) -> CostReport {
         cost.report_with_delay(&self.profile, self.total_cycles() as f64)
     }
 
@@ -85,7 +85,7 @@ impl SimStats {
     /// `dram_compressed_words` is a single total, so the per-type split
     /// is proportional. Identical to `cost_report` when nothing was
     /// compressed.
-    pub fn compressed_cost_report(&self, cost: &dyn CostModel) -> CostReport {
+    pub fn compressed_cost_report(&self, cost: &CostModel) -> CostReport {
         cost.report_with_delay(&self.compressed_profile(), self.total_cycles() as f64)
     }
 
@@ -111,7 +111,7 @@ impl SimStats {
     /// Ratio of RF energy to on-chip-rest (buffer + array) energy — the
     /// quantity the paper verifies against the chip (~4:1 in CONV layers,
     /// Section VII-A).
-    pub fn rf_to_onchip_rest_ratio(&self, cost: &dyn CostModel) -> f64 {
+    pub fn rf_to_onchip_rest_ratio(&self, cost: &CostModel) -> f64 {
         let report = self.cost_report(cost);
         let rf = report.energy_at(Level::Rf);
         let rest = report.energy_at(Level::Buffer) + report.energy_at(Level::Array);

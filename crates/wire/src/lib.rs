@@ -1,9 +1,9 @@
 //! Exact, versioned wire format for persisting compiled plans.
 //!
-//! The workspace builds offline against an inert `serde` stand-in (see
-//! `vendor/serde`), so actual on-disk persistence — the plan-cache
-//! save/load path — is implemented here as a small, self-contained JSON
-//! subset. Two properties matter more than generality:
+//! The workspace builds offline, without `serde`, so on-disk
+//! persistence — the plan-cache save/load path — is implemented here as
+//! a small, self-contained JSON subset. Two properties matter more than
+//! generality:
 //!
 //! * **Exactness.** Reloaded plans must re-execute *bit-exactly*, so
 //!   every `f64` (energy, delay, access counts) travels as its IEEE-754

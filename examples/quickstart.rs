@@ -10,8 +10,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every mapping space implements the `Dataflow` trait; the registry
     // holds the paper's six (plus anything you register).
     let conv3 = LayerProblem::new(LayerShape::conv(384, 256, 15, 3, 1)?, 16);
-    // TableIv is the canonical CostModel — swap in any registered model
-    // (see `CostModelRegistry`) to price the same comparison differently.
+    // TableIv is the canonical CostModel — swap in any
+    // `CostModel::new(..)` to price the same comparison differently.
     let em = TableIv;
     let reg = DataflowRegistry::builtin();
     println!("AlexNet CONV3 on a 256-PE spatial architecture, batch 16:");

@@ -266,17 +266,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // persisted plans as a fingerprint, and serves cold — while plans
     // with distinct cost fingerprints never cross-hit the cache.
     let lp_path = dir.join("serving-lp28.plans");
-    let lp28: std::sync::Arc<dyn CostModel> = std::sync::Arc::new(
-        StaticCostModel::new("lp-28nm", EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0)?)
-            .with_bandwidth(Level::Dram, 2.0)?,
-    );
+    let lp28 = CostModel::new("lp-28nm", EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0)?)
+        .with_bandwidth(Level::Dram, 2.0)?;
     let net = serving::synthetic_net();
     let golden_net = net.clone();
     let shape = net.stages()[0].shape;
     let warm = Engine::builder()
         .hardware(ServeConfig::new().hw)
         .arrays(2)
-        .cost_model(std::sync::Arc::clone(&lp28))
+        .cost_model(lp28)
         .build()?;
     warm.compile(&net, 1)?;
     let saved = warm.save_plans(&lp_path)?;
@@ -284,7 +282,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cold = Engine::builder()
         .hardware(ServeConfig::new().hw)
         .arrays(2)
-        .register_cost_model(std::sync::Arc::clone(&lp28))
+        .register_cost_model(lp28)
         .cost_model_id(CostModelId::new("lp-28nm"))
         .build()?;
     assert_eq!(cold.load_plans(&lp_path)?, saved);
@@ -318,7 +316,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = Engine::builder()
         .hardware(ServeConfig::new().hw)
         .arrays(2)
-        .register_cost_model(std::sync::Arc::clone(&lp28))
+        .register_cost_model(lp28)
         .build()?;
     assert_eq!(table.load_plans(&lp_path)?, saved);
     table.compile(&golden_net, 1)?;

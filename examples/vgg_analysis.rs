@@ -44,7 +44,7 @@ fn main() {
             "  {:<8} active={:>3}  e/op={:.3}",
             l.name,
             l.active_pes,
-            l.energy(run.cost.as_ref()) / l.macs
+            l.energy(&run.cost) / l.macs
         );
     }
 }

@@ -8,7 +8,7 @@
 //! 3. A custom *cost model* registered through the
 //!    [`CostModelRegistry`] prices search, cluster planning, plan
 //!    persistence (its fingerprint travels in the wire format) and
-//!    serving — again with no core changes and no downcasts.
+//!    serving — again with no core changes.
 
 use eyeriss::prelude::*;
 use eyeriss::Objective;
@@ -196,8 +196,8 @@ fn engine_builds_with_a_registered_seventh_dataflow() {
 
 /// A latency-weighted 28 nm-ish scenario: cheaper DRAM energy, but a
 /// finite DRAM channel that penalizes DRAM-streaming mappings under EDP.
-fn lp28() -> StaticCostModel {
-    StaticCostModel::new(
+fn lp28() -> CostModel {
+    CostModel::new(
         "lp-28nm",
         EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0).unwrap(),
     )
@@ -207,24 +207,28 @@ fn lp28() -> StaticCostModel {
 
 #[test]
 fn registered_cost_model_prices_search_plan_persist_and_serve() {
-    // The cost-layer acceptance case, symmetric with the seventh
-    // dataflow: a custom model registered through the registry drives
-    // mapping search, cluster planning, persistence and serving without
-    // any `match` on a concrete model type anywhere in the core crates.
+    // The cost-layer acceptance case: a custom model registered through
+    // the registry drives mapping search, cluster planning, persistence
+    // and serving.
     let model = lp28();
-    let model_arc: Arc<dyn CostModel> = Arc::new(model);
 
     // 1. The unmodified optimizer prices in the custom model.
     let rs = registry::builtin(DataflowKind::RowStationary);
     let hw = rs.comparison_hardware(256);
     let problem = LayerProblem::new(LayerShape::conv(64, 8, 13, 3, 2).unwrap(), 2);
-    let best = optimize(rs, &problem, &hw, model_arc.as_ref(), Objective::Energy).unwrap();
+    let best = optimize(rs, &problem, &hw, &model, Objective::Energy).unwrap();
+    let unbanded = CostModel::new(
+        "lp-28nm",
+        EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0).unwrap(),
+    );
     assert_eq!(
         model.energy_of(&best.profile).to_bits(),
-        best.profile
-            .total_energy(&EnergyModel::new(120.0, 5.0, 2.0, 1.0, 1.0).unwrap())
-            .to_bits(),
+        unbanded.energy_of(&best.profile).to_bits(),
         "custom pricing is the model's own table"
+    );
+    assert_ne!(
+        model.energy_of(&best.profile).to_bits(),
+        TableIv.energy_of(&best.profile).to_bits()
     );
 
     // 2. The unmodified cluster planner records the pricer's descriptor.
@@ -233,7 +237,7 @@ fn registered_cost_model_prices_search_plan_persist_and_serve() {
         &problem,
         2,
         &hw,
-        model_arc.as_ref(),
+        &model,
         &SharedDram::scaled(2),
         Objective::EnergyDelayProduct,
     )
@@ -262,7 +266,7 @@ fn registered_cost_model_prices_search_plan_persist_and_serve() {
     let warm = Engine::builder()
         .hardware(hw_small)
         .arrays(2)
-        .cost_model(Arc::clone(&model_arc))
+        .cost_model(model)
         .build()
         .unwrap();
     assert_eq!(warm.cost_model().id().label(), "lp-28nm");
@@ -274,7 +278,7 @@ fn registered_cost_model_prices_search_plan_persist_and_serve() {
     let cold = Engine::builder()
         .hardware(hw_small)
         .arrays(2)
-        .register_cost_model(Arc::clone(&model_arc))
+        .register_cost_model(model)
         .cost_model_id(CostModelId::new("lp-28nm"))
         .build()
         .unwrap();
@@ -313,10 +317,10 @@ fn registered_cost_model_prices_search_plan_persist_and_serve() {
         ignorant.load_plans(&path),
         Err(EngineError::Serve(_))
     ));
-    let drifted_model: Arc<dyn CostModel> = Arc::new(StaticCostModel::new(
+    let drifted_model = CostModel::new(
         "lp-28nm",
         EnergyModel::new(240.0, 5.0, 2.0, 1.0, 1.0).unwrap(),
-    ));
+    );
     let drifted = Engine::builder()
         .hardware(hw_small)
         .arrays(2)

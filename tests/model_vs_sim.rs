@@ -113,7 +113,6 @@ fn access_profiles_track_the_analytical_model() {
 #[test]
 fn rf_ratio_matches_chip_measurement() {
     let config = AcceleratorConfig::eyeriss_chip();
-    let em = EnergyModel::table_iv();
     // Enough filters and channels that both foldings (filter groups and
     // channel groups) exercise the buffer, as full AlexNet layers do.
     let shape = LayerShape::conv(96, 16, 15, 3, 1).unwrap();
@@ -133,8 +132,9 @@ fn rf_ratio_matches_chip_measurement() {
     )
     .expect("feasible")
     .profile;
-    let model_ratio = model.energy_at_level(&em, Level::Rf)
-        / (model.energy_at_level(&em, Level::Buffer) + model.energy_at_level(&em, Level::Array));
+    let model_ratio = TableIv.energy_at_level(&model, Level::Rf)
+        / (TableIv.energy_at_level(&model, Level::Buffer)
+            + TableIv.energy_at_level(&model, Level::Array));
     let agreement = ratio / model_ratio;
     assert!(
         (0.4..=2.5).contains(&agreement),

@@ -38,7 +38,6 @@ proptest! {
         shape in arb_shape(),
         n in 1usize..4,
     ) {
-        let em = EnergyModel::table_iv();
         let reg = DataflowRegistry::builtin();
         let problem = LayerProblem::new(shape, n);
         for df in reg.iter() {
@@ -55,8 +54,8 @@ proptest! {
             prop_assert_eq!(&back, &best, "{} candidate diverged", df.id());
             prop_assert_eq!(&back.profile, &best.profile, "{} access counts", df.id());
             prop_assert_eq!(
-                back.profile.total_energy(&em).to_bits(),
-                best.profile.total_energy(&em).to_bits(),
+                TableIv.energy_of(&back.profile).to_bits(),
+                TableIv.energy_of(&best.profile).to_bits(),
                 "{} energy bits", df.id()
             );
         }

@@ -59,7 +59,6 @@ proptest! {
         shape in arb_shape(),
         n in 1usize..5,
     ) {
-        let em = EnergyModel::table_iv();
         for kind in DataflowKind::ALL {
             let df = registry::builtin(kind);
             let hw = df.comparison_hardware(256);
@@ -81,7 +80,7 @@ proptest! {
                 prop_assert!(cand.profile.filter.dram_reads
                     >= shape.filter_words() as f64 * (1.0 - 1e-9));
                 // Energy is at least the compute floor.
-                prop_assert!(cand.profile.total_energy(&em) >= shape.macs(n) as f64);
+                prop_assert!(TableIv.energy_of(&cand.profile) >= shape.macs(n) as f64);
             }
         }
     }
@@ -91,20 +90,19 @@ proptest! {
         shape in arb_shape(),
         n in 1usize..4,
     ) {
-        let em = EnergyModel::table_iv();
         let rs = registry::builtin(DataflowKind::RowStationary);
         let hw = rs.comparison_hardware(256);
         let problem = LayerProblem::new(shape, n);
         let Some(best) = optimize(rs, &problem, &hw, &TableIv, Objective::Energy) else {
             return Ok(());
         };
-        let best_energy = best.profile.total_energy(&em);
+        let best_energy = TableIv.energy_of(&best.profile);
         for cand in rs.enumerate(&problem, &hw) {
             prop_assert!(
-                cand.profile.total_energy(&em) >= best_energy * (1.0 - 1e-12)
+                TableIv.energy_of(&cand.profile) >= best_energy * (1.0 - 1e-12)
                     // The utilization tie-break may pick a near-tied
                     // candidate within 10% of the optimum.
-                    || best_energy <= cand.profile.total_energy(&em) * 1.10
+                    || best_energy <= TableIv.energy_of(&cand.profile) * 1.10
             );
         }
     }

@@ -155,7 +155,7 @@ fn attribution_matches_the_plan_cost_report_bit_exactly() {
     let plan = compiler
         .compile_network(&net, att.batch_size)
         .expect("plan for the executed batch size");
-    let want = plan.cost_report(compiler.cost_model().as_ref());
+    let want = plan.cost_report(compiler.cost_model());
     for level in Level::ALL {
         assert_eq!(
             att.report.energy_at(level).to_bits(),
