@@ -439,14 +439,15 @@ const OVERLOAD_WARMUPS: usize = 4;
 /// Per-request deadline, as a multiple of the calibrated no-backlog
 /// completion estimate. Five estimates of queueing budget keeps the
 /// bound `p99 ≤ 2 × deadline` safely clear of batch-formation and
-/// dispatch-channel slack while still forcing heavy shedding at 2×
-/// offered load.
+/// dispatch-channel slack while still forcing heavy shedding under the
+/// overload burst: admission prices a request at one estimate per
+/// pending batch per worker, so the budget is 4 batches per worker.
 const OVERLOAD_DEADLINE_MULT: f64 = 5.0;
 
 /// One server's behaviour under the overload run.
 #[derive(Debug, Clone)]
 pub struct OverloadPoint {
-    /// Open-loop submit attempts (after warmup).
+    /// Submit attempts in the burst (after warmup).
     pub submitted: usize,
     /// Requests that completed.
     pub completed: usize,
@@ -472,7 +473,10 @@ pub struct OverloadReport {
     pub network: String,
     /// Calibrated capacity, requests/second.
     pub capacity_rps: f64,
-    /// Offered arrival rate (2× capacity), requests/second.
+    /// Offered arrival rate, requests/second: the slower of the two
+    /// runs' submit bursts. It is at least 2× capacity while a submit
+    /// costs under an eighth of a batch's service (two workers, batches
+    /// of two).
     pub offered_rps: f64,
     /// The per-request deadline of the deadline run, derived
     /// from the admission controller's calibrated no-backlog estimate
@@ -504,17 +508,24 @@ impl OverloadReport {
 }
 
 /// Drives one overload server: prewarm + warmups (which calibrate the
-/// admission estimator), then `requests` paced open-loop submits. With
-/// `deadline_mult` each request carries a deadline derived from the
-/// live completion estimate; `None` submits without deadlines.
+/// admission estimator), then `requests` submits in one burst, their
+/// inputs made beforehand. With `deadline_mult` each request carries a
+/// deadline derived from the live completion estimate; `None` submits
+/// without deadlines. Also returns the burst's submit rate.
+///
+/// The overload is a count, not a rate: the burst is queued before the
+/// workers finish more than a few batches, so the queue holds more
+/// requests than the deadline budget can serve however fast a batch
+/// runs. (Paced at 2× a wall-clock capacity calibration instead, a run
+/// whose batches ran faster than calibrated never built a queue and
+/// shed nothing.)
 fn overload_run(
     net: &Network,
     cfg: &ServeConfig,
     compiler: &PlanCompiler,
-    offered_rps: f64,
     requests: usize,
     deadline_mult: Option<f64>,
-) -> (OverloadPoint, Option<Duration>) {
+) -> (OverloadPoint, Option<Duration>, f64) {
     let shape = net.stages()[0].shape;
     let server = Server::start_with_compiler(net.clone(), cfg.clone(), compiler.clone());
     server.prewarm().expect("synthetic network plans");
@@ -531,17 +542,13 @@ fn overload_run(
             .expect("warmed server is calibrated");
         Duration::from_secs_f64(est.as_secs_f64() * mult)
     });
-    let interval = Duration::from_secs_f64(1.0 / offered_rps);
-    let start = Instant::now();
+    let inputs: Vec<_> = (0..requests)
+        .map(|i| synth::ifmap(&shape, 1, i as u64))
+        .collect();
     let mut handles = Vec::with_capacity(requests);
     let mut rejected = 0usize;
-    for i in 0..requests {
-        let due = start + interval * i as u32;
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let input = synth::ifmap(&shape, 1, i as u64);
+    let start = Instant::now();
+    for input in inputs {
         let opts = deadline.map_or_else(SubmitOptions::default, |d| {
             SubmitOptions::default().deadline(d)
         });
@@ -551,6 +558,7 @@ fn overload_run(
             Err(e) => panic!("overload submit failed: {e}"),
         }
     }
+    let offered_rps = requests as f64 / start.elapsed().as_secs_f64().max(1e-9);
     let mut expired = 0usize;
     for handle in handles {
         match handle.wait() {
@@ -582,14 +590,13 @@ fn overload_run(
         first_half_p99: percentile(&totals(warm, half), 0.99),
         second_half_p99: percentile(&totals(half, u64::MAX), 0.99),
     };
-    (point, deadline)
+    (point, deadline, offered_rps)
 }
 
 /// Runs the deadlines-vs-none overload comparison: two identical
-/// servers face the same open-loop load at 2× the calibrated capacity
-/// with a shared plan cache; the queue is sized to absorb every request
-/// (nothing bounces as full), so the no-deadline run's latency growth
-/// is visible.
+/// servers face the same burst of `requests` with a shared plan cache;
+/// the queue is sized to absorb every request (nothing bounces as
+/// full), so the no-deadline run's latency growth is visible.
 pub fn overload_comparison(requests: usize) -> OverloadReport {
     let net = synthetic_net();
     let mut cfg = serve_config();
@@ -600,20 +607,18 @@ pub fn overload_comparison(requests: usize) -> OverloadReport {
     cfg.queue_capacity = requests + 8;
     let compiler = PlanCompiler::new(cfg.arrays, cfg.hw);
     let capacity_rps = calibrate(&net, &cfg, &compiler);
-    let offered_rps = capacity_rps * 2.0;
-    let (sched, deadline) = overload_run(
+    let (sched, deadline, sched_rps) = overload_run(
         &net,
         &cfg,
         &compiler,
-        offered_rps,
         requests,
         Some(OVERLOAD_DEADLINE_MULT),
     );
-    let (fifo, _) = overload_run(&net, &cfg, &compiler, offered_rps, requests, None);
+    let (fifo, _, fifo_rps) = overload_run(&net, &cfg, &compiler, requests, None);
     OverloadReport {
         network: "synthetic".to_string(),
         capacity_rps,
-        offered_rps,
+        offered_rps: sched_rps.min(fifo_rps),
         deadline: deadline.expect("the deadline run derives a deadline"),
         sched,
         fifo,
@@ -646,7 +651,7 @@ pub fn render_overload(report: &OverloadReport) -> String {
         ]);
     }
     format!(
-        "Overload — {} network, offered {:.0} rps (2× capacity {:.0}), deadline {}\n{}",
+        "Overload — {} network, offered {:.0} rps in one burst (capacity {:.0}), deadline {}\n{}",
         report.network,
         report.offered_rps,
         report.capacity_rps,

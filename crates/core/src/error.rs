@@ -1,12 +1,13 @@
 //! Typed errors of the [`crate::Engine`] façade.
 //!
-//! One enum covers every tier, with `From` conversions from each layer's
-//! own error type, so `?` composes across the whole stack and callers
-//! can still match on *which* layer refused.
+//! One enum covers every tier a façade call can fail in, with `From`
+//! conversions from each of those layers' own error types, so `?`
+//! composes across the whole stack and callers can still match on
+//! *which* layer refused. Search and pricing refusals surface as
+//! [`BuildError`]s or [`EngineError::NoMapping`].
 
-use eyeriss_arch::CostModelError;
 use eyeriss_cluster::ClusterError;
-use eyeriss_dataflow::{DataflowError, DataflowId};
+use eyeriss_dataflow::DataflowId;
 use eyeriss_nn::ShapeError;
 use eyeriss_serve::ServeError;
 use eyeriss_sim::SimError;
@@ -66,18 +67,12 @@ pub enum EngineError {
         /// The problem, rendered.
         detail: String,
     },
-    /// The dataflow layer refused (params mismatch, unknown id, invalid
-    /// candidate).
-    Dataflow(DataflowError),
     /// The single-array simulator failed.
     Sim(SimError),
     /// The cluster executor failed.
     Cluster(ClusterError),
     /// The serving layer failed (plan compilation, queueing, persistence).
     Serve(ServeError),
-    /// The cost layer refused (invalid costs, unordered hierarchy,
-    /// registry misses).
-    Cost(CostModelError),
 }
 
 impl fmt::Display for EngineError {
@@ -88,11 +83,9 @@ impl fmt::Display for EngineError {
             EngineError::NoMapping { dataflow, detail } => {
                 write!(f, "{dataflow} has no feasible mapping for {detail}")
             }
-            EngineError::Dataflow(e) => write!(f, "dataflow error: {e}"),
             EngineError::Sim(e) => write!(f, "simulation failed: {e}"),
             EngineError::Cluster(e) => write!(f, "cluster execution failed: {e}"),
             EngineError::Serve(e) => write!(f, "serving failed: {e}"),
-            EngineError::Cost(e) => write!(f, "cost model error: {e}"),
         }
     }
 }
@@ -111,12 +104,6 @@ impl From<ShapeError> for EngineError {
     }
 }
 
-impl From<DataflowError> for EngineError {
-    fn from(e: DataflowError) -> Self {
-        EngineError::Dataflow(e)
-    }
-}
-
 impl From<SimError> for EngineError {
     fn from(e: SimError) -> Self {
         EngineError::Sim(e)
@@ -132,12 +119,6 @@ impl From<ClusterError> for EngineError {
 impl From<ServeError> for EngineError {
     fn from(e: ServeError) -> Self {
         EngineError::Serve(e)
-    }
-}
-
-impl From<CostModelError> for EngineError {
-    fn from(e: CostModelError) -> Self {
-        EngineError::Cost(e)
     }
 }
 
@@ -170,9 +151,6 @@ mod tests {
                 .to_string()
                 .contains("lp-28nm")
         );
-        assert!(EngineError::Cost(CostModelError::Unknown("x".into()))
-            .to_string()
-            .contains("cost model"));
     }
 
     #[test]

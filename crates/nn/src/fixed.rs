@@ -31,7 +31,12 @@ pub const SCALE: f32 = (1 << FRAC_BITS) as f32;
 /// assert_eq!((a * b).to_f32(), -3.375);
 /// assert_eq!((a + b).to_f32(), -0.75);
 /// ```
+///
+/// Laid out as its raw `i16`, so a slice of values is a slice of raw
+/// words (the simulator's vector kernel reads two adjacent weights as one
+/// 32-bit word).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct Fix16(i16);
 
 impl Fix16 {

@@ -13,11 +13,13 @@
 //!   and scratchpad capacity, charges each pass's DRAM stall, and
 //!   computes the pass's access counts in closed form from the mapping,
 //!   the shape and the pass indices. It reads no tensor.
-//! * **Values come from the layer kernel.** Each group's psums are
-//!   computed once, one `M x E` strip per (image, ofmap row), with the
-//!   PE's windowed MAC kernel reading the weight tensor in place. Every
-//!   add wraps, so the order the kernel visits taps in cannot change a
-//!   bit. The PE counters that depend on the data (zero-gated and
+//! * **Values come from the layer kernel** (`chip/kernel.rs`). Each
+//!   group's psums are computed once, one `M x E` strip per (image,
+//!   ofmap row), with the PE's windowed MAC kernel reading the weight
+//!   tensor in place; on a host with AVX2, a copy of the kernel built
+//!   for it runs instead, with a pair-MAC loop for stride-1 layers.
+//!   Every add wraps, so the order the kernel visits taps in cannot
+//!   change a bit. The PE counters that depend on the data (zero-gated and
 //!   CSC-skipped MACs, CSC ifmap reads) are set per layer from per-row
 //!   zero and nonzero summaries of the ifmap.
 //!
@@ -32,7 +34,7 @@ use crate::gbuf::GlobalBuffer;
 use crate::mesh::{HierarchicalMesh, MeshStats};
 use crate::noc::NocStats;
 use crate::passes::RsMapping;
-use crate::pe::{self, FilterRows, PeStats};
+use crate::pe::{self, PeStats};
 use crate::rlc;
 use crate::scratch::SimScratch;
 use crate::stats::SimStats;
@@ -41,6 +43,7 @@ use eyeriss_nn::{reference, Fix16, LayerKind, LayerShape, Tensor4};
 use eyeriss_telemetry::Telemetry;
 use std::collections::HashMap;
 
+mod kernel;
 #[cfg(test)]
 mod oracle;
 
@@ -319,7 +322,7 @@ impl Accelerator {
                 chan_base: g * per_group.c,
                 filt_base: g * per_group.m,
             };
-            group.convolve(input, weights, &mut scratch.row_acc, &mut psums);
+            group.convolve(input, weights, scratch, &mut psums);
             let (pe, csc) = group.pe_counts(
                 input,
                 weights,
@@ -726,61 +729,6 @@ struct GroupSlice<'a> {
 }
 
 impl GroupSlice<'_> {
-    /// The layer kernel: writes the group's psums into `out`. Per (image,
-    /// ofmap row), each of the `R` ifmap rows of each channel slides
-    /// under all `M` filters in one kernel call, into the `M x E` `strip`.
-    /// An FC layer has one window per filter, so each filter is one dot
-    /// product of the image's `C x R x R` words.
-    fn convolve(
-        &self,
-        input: &Tensor4<Fix16>,
-        weights: &Tensor4<Fix16>,
-        strip: &mut Vec<i32>,
-        out: &mut Tensor4<i32>,
-    ) {
-        let LayerShape { m, c, r, u, e, .. } = *self.shape;
-        let filter_words = c * r * r;
-        let w = weights.as_slice();
-        strip.clear();
-        strip.resize(m * e, 0);
-        if self.shape.is_fc_shaped() {
-            let rows = FilterRows {
-                first: self.filt_base * filter_words,
-                step: filter_words,
-                count: m,
-            };
-            for z in 0..self.n_batch {
-                let first = (z * input.dims()[1] + self.chan_base) * r * r;
-                let image = &input.as_slice()[first..first + filter_words];
-                strip.fill(0);
-                pe::slide_group(w, rows, image, 1, strip, 1);
-                for (f, &acc) in strip.iter().enumerate() {
-                    out.row_mut(z, self.filt_base + f, 0)[0] = acc;
-                }
-            }
-            return;
-        }
-        for z in 0..self.n_batch {
-            for y in 0..e {
-                strip.fill(0);
-                for ch in 0..c {
-                    for i in 0..r {
-                        let row = input.row(z, self.chan_base + ch, u * y + i);
-                        let rows = FilterRows {
-                            first: ((self.filt_base * c + ch) * r + i) * r,
-                            step: filter_words,
-                            count: m,
-                        };
-                        pe::slide_group(w, rows, row, u, strip, e);
-                    }
-                }
-                for (f, acc) in strip.chunks_exact(e).enumerate() {
-                    out.row_mut(z, self.filt_base + f, y).copy_from_slice(acc);
-                }
-            }
-        }
-    }
-
     /// The group's PE counters, and its CSC storage on a CSC chip. Every
     /// primitive slides one ifmap row under all `M` filters, so each
     /// visit of a row issues `M x E x R` taps. `skip_zeros` chips skip

@@ -287,6 +287,7 @@ impl FilterRows {
 
     /// Filter taps of primitives that slide `outputs` windows, `stride`
     /// apart, over exactly `row_len` pixels into the `psums` strip.
+    #[inline(always)]
     fn taps(&self, row_len: usize, stride: usize, psums: &[i32], outputs: usize) -> usize {
         assert!(stride > 0, "stride must be positive");
         let slides = outputs.checked_sub(1).expect("psum row must be non-empty");
@@ -301,20 +302,30 @@ impl FilterRows {
     }
 }
 
-/// The windowed MAC kernel under every psum the simulator computes: each
-/// of the filter `rows` of `filters` slides over `ifmap_row` with
-/// `stride`, the `k`-th accumulating into `psums[k * outputs..][..outputs]`,
-/// wrapping. Returns the taps of one window.
+/// The windowed MAC kernel of the PE and of the chip's layer kernel:
+/// each of the filter `rows` of `filters` slides over
+/// `ifmap_row` with `stride`, the `k`-th accumulating into
+/// `psums[k * outputs..][..outputs]`, wrapping. Returns the taps of one
+/// window.
 ///
 /// The kernel is picked by the primitive's own geometry: the (taps,
 /// stride) pairs of AlexNet, VGG, MobileNet's point- and depthwise layers
 /// and the served network are unrolled; anything else (FC rows, odd
 /// shapes) takes the scalar loop.
 ///
+/// It is `#[inline(always)]`, as are the loops under it, so that each
+/// copy of the layer kernel (`chip::kernel`: the portable one and the
+/// one built with AVX2, where these loops vectorise with 32-bit
+/// multiplies) gets its own build of them. The AVX2 copy slides only
+/// the geometries its stride-1 pair-MAC loop does not cover: strided
+/// layers, `R` other than 1, 3 and 5, 1x1 layers of one channel, and
+/// FC shapes.
+///
 /// # Panics
 ///
 /// Panics under [`Pe::run_group`]'s conditions, or if a filter row lies
 /// outside `filters`.
+#[inline(always)]
 pub(crate) fn slide_group(
     filters: &[Fix16],
     rows: FilterRows,
@@ -337,6 +348,7 @@ pub(crate) fn slide_group(
 }
 
 /// The `taps` resident filter words starting at `row_index`.
+#[inline(always)]
 fn filter_row(spad: &[Fix16], row_index: usize, taps: usize) -> &[Fix16] {
     assert!(
         row_index + taps <= spad.len(),
@@ -351,6 +363,7 @@ fn filter_row(spad: &[Fix16], row_index: usize, taps: usize) -> &[Fix16] {
 /// wrapping. The tap loop unrolls into one expression per output and the
 /// output loop vectorises, which a runtime-length tap loop of 3 to 11
 /// does not.
+#[inline(always)]
 fn slide<const R: usize, const S: usize>(
     spad: &[Fix16],
     rows: FilterRows,
@@ -376,6 +389,7 @@ fn slide<const R: usize, const S: usize>(
 
 /// [`slide`] for any geometry, one tap at a time: the fallback for the
 /// shapes without an unrolled kernel.
+#[inline(always)]
 fn slide_scalar(
     spad: &[Fix16],
     rows: FilterRows,
