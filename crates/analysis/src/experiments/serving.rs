@@ -28,10 +28,10 @@ use eyeriss_nn::network::{Network, NetworkBuilder};
 use eyeriss_nn::shape::NamedLayer;
 use eyeriss_nn::{alexnet, synth, vgg};
 use eyeriss_serve::{
-    percentile, AdmissionError, BatchPolicy, CacheStats, PlanCompiler, RecoveryPolicy, SchedConfig,
-    ServeConfig, ServeError, Server, ServerSnapshot, ServerStats, SubmitOptions, TenantId,
-    TenantSpec,
+    AdmissionError, BatchPolicy, CacheStats, PlanCompiler, RecoveryPolicy, SchedConfig,
+    ServeConfig, ServeError, Server, ServerSnapshot, SubmitOptions, TenantId, TenantSpec,
 };
+use eyeriss_telemetry::HistogramSnapshot;
 use std::time::{Duration, Instant};
 
 /// One compiled layer of a [`CompileReport`].
@@ -158,19 +158,15 @@ pub struct LoadPoint {
     /// Achieved throughput: completions / (first submit → last
     /// completion).
     pub achieved_rps: f64,
-    /// Median end-to-end latency.
+    /// Median end-to-end latency (the server's streaming estimate,
+    /// within [`eyeriss_telemetry::RELATIVE_ERROR`]).
     pub p50: Duration,
-    /// 99th-percentile end-to-end latency.
+    /// 99th-percentile end-to-end latency (streaming estimate).
     pub p99: Duration,
     /// Mean time spent queued.
     pub mean_queue: Duration,
     /// Mean executed batch size at this load.
     pub mean_batch: f64,
-    /// Streaming p99 estimate from the live [`ServerSnapshot`] taken
-    /// just before shutdown — includes warmup requests, and is checked
-    /// against the exact percentile to within the histogram error bound
-    /// during the sweep.
-    pub live_p99: Duration,
 }
 
 /// The measured latency/throughput curve of one server configuration.
@@ -234,15 +230,16 @@ fn serve_config() -> ServeConfig {
 
 /// Runs `requests` open-loop requests at `offered_rps` against a fresh
 /// server for `net` (sharing `compiler`'s plan cache, so only the first
-/// point of a sweep pays any searches), returning the completed-run
-/// statistics and the client-observed makespan.
+/// point of a sweep pays any searches), returning the server's final
+/// snapshot of the measured requests (warmups taken out) and the
+/// client-observed makespan.
 fn drive(
     net: &Network,
     cfg: &ServeConfig,
     compiler: &PlanCompiler,
     offered_rps: f64,
     requests: usize,
-) -> (ServerStats, Duration, ServerSnapshot) {
+) -> (ServerSnapshot, Duration) {
     let shape = net.stages()[0].shape;
     let server = Server::start_with_compiler(net.clone(), cfg.clone(), compiler.clone());
     // Compile plans for every batch size the batcher can form, then warm
@@ -250,14 +247,17 @@ fn drive(
     // no mid-measurement plan search at any load point (and, from the
     // second drive on, no searches at all: the cache is shared).
     server.prewarm().expect("synthetic network plans");
+    let mut latency_ns = 0u64;
     for warm in 0..2 {
         let input = synth::ifmap(&shape, 1, 1000 + warm);
-        server
+        let response = server
             .submit(input)
             .expect("warmup submit")
             .wait()
             .expect("warmup inference");
+        latency_ns += response.latency.total().as_nanos() as u64;
     }
+    let warmed = server.snapshot();
     let interval = Duration::from_secs_f64(1.0 / offered_rps);
     let start = Instant::now();
     let mut handles = Vec::with_capacity(requests);
@@ -278,31 +278,48 @@ fn drive(
     let mut mid = None;
     let half = requests.div_ceil(2);
     for (i, handle) in handles.into_iter().enumerate() {
-        handle.wait().expect("open-loop inference");
+        let response = handle.wait().expect("open-loop inference");
+        latency_ns += response.latency.total().as_nanos() as u64;
         if i + 1 == half {
             mid = Some(server.snapshot());
         }
     }
     let makespan = start.elapsed();
-    let fin = server.snapshot();
-    let stats = server.shutdown();
-    check_live_consistency(mid.as_ref().expect("sampled"), &fin, &stats, cfg);
-    // Drop the warmup records so percentiles reflect the measured load.
-    let mut stats = stats;
-    stats.records.retain(|r| r.id >= 2);
-    (stats, makespan, fin)
+    let fin = server.shutdown();
+    let received = requests as u64 + 2;
+    check_live_consistency(
+        mid.as_ref().expect("sampled"),
+        &fin,
+        received,
+        latency_ns,
+        cfg,
+    );
+    // Take the warmup requests out so the statistics reflect the
+    // measured load.
+    let since = |early: &HistogramSnapshot, late: &HistogramSnapshot| {
+        late.since(early).expect("server histograms only grow")
+    };
+    let measured = ServerSnapshot {
+        completed: fin.completed - warmed.completed,
+        queue_ns: since(&warmed.queue_ns, &fin.queue_ns),
+        total_ns: since(&warmed.total_ns, &fin.total_ns),
+        batch_size: since(&warmed.batch_size, &fin.batch_size),
+        ..fin
+    };
+    (measured, makespan)
 }
 
 /// Asserts the live [`Server::snapshot`] views are monotone-consistent
-/// with each other and with the exact end-of-run [`ServerStats`]:
-/// histograms only grow, the queue-depth gauge stays within the
-/// configured bounds and drains to zero, and the streaming percentiles
-/// agree with the exact nearest-rank ones to within the documented
-/// bucket error.
+/// with each other and exactly consistent with what the client
+/// received: histograms only grow, the queue-depth gauge stays within
+/// the configured bounds and drains to zero, and the final latency
+/// histogram holds one sample per response (`received`) summing to
+/// their end-to-end latencies (`latency_ns`).
 fn check_live_consistency(
     mid: &ServerSnapshot,
     fin: &ServerSnapshot,
-    stats: &ServerStats,
+    received: u64,
+    latency_ns: u64,
     cfg: &ServeConfig,
 ) {
     assert!(
@@ -318,7 +335,9 @@ fn check_live_consistency(
     );
     assert_eq!(fin.queue_depth, 0, "queue drains by the last completion");
     assert_eq!(fin.inflight_batches, 0);
-    assert_eq!(fin.completed as usize, stats.completed());
+    assert_eq!(fin.completed, received);
+    assert_eq!(fin.total_ns.count(), received);
+    assert_eq!(fin.total_ns.sum(), latency_ns);
     // Telemetry is live on these servers, so every completed request
     // carries an attribution and lands one `serve.delay_residual`
     // sample (the |measured − analytic| plan-prediction error).
@@ -327,15 +346,6 @@ fn check_live_consistency(
         fin.completed,
         "one residual sample per completed request"
     );
-    let exact = stats.latency_summary();
-    for (stream, exact) in [(fin.p50(), exact.p50), (fin.p99(), exact.p99)] {
-        let bound = exact.as_nanos() as f64 * eyeriss_telemetry::RELATIVE_ERROR + 1.0;
-        let delta = stream.as_nanos().abs_diff(exact.as_nanos()) as f64;
-        assert!(
-            delta <= bound,
-            "streaming {stream:?} vs exact {exact:?} exceeds the error bound"
-        );
-    }
 }
 
 /// Calibrates a capacity estimate: the steady-state rate of one worker
@@ -343,7 +353,7 @@ fn check_live_consistency(
 fn calibrate(net: &Network, cfg: &ServeConfig, compiler: &PlanCompiler) -> f64 {
     let burst = (cfg.workers * cfg.policy.max_batch * 2).max(8);
     // An absurdly high offered rate degenerates into a burst.
-    let (_, makespan, _) = drive(net, cfg, compiler, 1e6, burst);
+    let (_, makespan) = drive(net, cfg, compiler, 1e6, burst);
     burst as f64 / makespan.as_secs_f64()
 }
 
@@ -363,17 +373,15 @@ pub fn sweep_network(
         .iter()
         .map(|&mult| {
             let offered = (capacity_rps * mult).max(1.0);
-            let (stats, makespan, live) = drive(net, cfg, &compiler, offered, requests);
-            let summary = stats.latency_summary();
+            let (measured, makespan) = drive(net, cfg, &compiler, offered, requests);
             LoadPoint {
                 offered_rps: offered,
-                completed: stats.completed(),
-                achieved_rps: stats.completed() as f64 / makespan.as_secs_f64(),
-                p50: summary.p50,
-                p99: summary.p99,
-                mean_queue: stats.mean_queue(),
-                mean_batch: stats.mean_batch(),
-                live_p99: live.p99(),
+                completed: measured.completed as usize,
+                achieved_rps: measured.completed as f64 / makespan.as_secs_f64(),
+                p50: measured.p50(),
+                p99: measured.p99(),
+                mean_queue: measured.mean_queue(),
+                mean_batch: measured.mean_batch(),
             }
         })
         .collect();
@@ -407,7 +415,6 @@ pub fn render_sweep(sweep: &ServingSweep) -> String {
         "p99".into(),
         "mean queue".into(),
         "mean batch".into(),
-        "live p99".into(),
     ]);
     for p in &sweep.points {
         t.row(vec![
@@ -417,7 +424,6 @@ pub fn render_sweep(sweep: &ServingSweep) -> String {
             format!("{:.2} ms", p.p99.as_secs_f64() * 1e3),
             format!("{:.2} ms", p.mean_queue.as_secs_f64() * 1e3),
             format!("{:.2}", p.mean_batch),
-            format!("{:.2} ms", p.live_p99.as_secs_f64() * 1e3),
         ]);
     }
     format!(
@@ -513,6 +519,9 @@ impl OverloadReport {
 /// deadline derived from the live completion estimate; `None` submits
 /// without deadlines. Also returns the burst's submit rate.
 ///
+/// The p99s come from the responses themselves: the nearest-rank p99
+/// of at most 100 samples is their maximum, so they are exact.
+///
 /// The overload is a count, not a rate: the burst is queued before the
 /// workers finish more than a few batches, so the queue holds more
 /// requests than the deadline budget can serve however fast a batch
@@ -559,36 +568,35 @@ fn overload_run(
         }
     }
     let offered_rps = requests as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let mut expired = 0usize;
+    // Ids are minted once per submit attempt (warmups first), so the
+    // half split below follows submission order on both runs.
+    let half = (OVERLOAD_WARMUPS + requests / 2) as u64;
+    let (mut completed, mut expired) = (0, 0);
+    let [mut first_half_p99, mut second_half_p99] = [Duration::ZERO; 2];
     for handle in handles {
         match handle.wait() {
-            Ok(_) => {}
+            Ok(response) => {
+                completed += 1;
+                let p99 = if response.id < half {
+                    &mut first_half_p99
+                } else {
+                    &mut second_half_p99
+                };
+                *p99 = (*p99).max(response.latency.total());
+            }
             Err(ServeError::Admission(AdmissionError::DeadlinePassed)) => expired += 1,
             Err(e) => panic!("overload inference failed: {e}"),
         }
     }
-    let stats = server.shutdown();
-    // Ids are minted once per submit attempt (warmups first), so the
-    // half split below follows submission order on both runs.
-    let warm = OVERLOAD_WARMUPS as u64;
-    let half = warm + requests as u64 / 2;
-    let totals = |lo: u64, hi: u64| -> Vec<Duration> {
-        stats
-            .records
-            .iter()
-            .filter(|r| r.id >= lo && r.id < hi)
-            .map(|r| r.latency.total())
-            .collect()
-    };
-    let all = totals(warm, u64::MAX);
+    server.shutdown();
     let point = OverloadPoint {
         submitted: requests,
-        completed: all.len(),
+        completed,
         rejected,
         expired,
-        p99: percentile(&all, 0.99),
-        first_half_p99: percentile(&totals(warm, half), 0.99),
-        second_half_p99: percentile(&totals(half, u64::MAX), 0.99),
+        p99: first_half_p99.max(second_half_p99),
+        first_half_p99,
+        second_half_p99,
     };
     (point, deadline, offered_rps)
 }
@@ -597,7 +605,13 @@ fn overload_run(
 /// servers face the same burst of `requests` with a shared plan cache;
 /// the queue is sized to absorb every request (nothing bounces as
 /// full), so the no-deadline run's latency growth is visible.
+///
+/// # Panics
+///
+/// Panics if `requests` exceeds 100, where a maximum is no longer the
+/// nearest-rank p99.
 pub fn overload_comparison(requests: usize) -> OverloadReport {
+    assert!(requests <= 100, "p99 is the maximum only up to 100 samples");
     let net = synthetic_net();
     let mut cfg = serve_config();
     // Half-size batches keep one batch's service well inside the
@@ -821,7 +835,7 @@ mod tests {
             assert_eq!(p.completed, 8);
             assert!(p.achieved_rps > 0.0);
             assert!(p.p99 >= p.p50);
-            assert!(p.live_p99 > Duration::ZERO, "live snapshot was sampled");
+            assert!(p.p50 > Duration::ZERO, "measured latencies were recorded");
         }
         assert!(render_sweep(&sweep).contains("achieved rps"));
     }

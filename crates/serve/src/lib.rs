@@ -26,8 +26,9 @@
 //! * [`persist`] — **plan-cache persistence**: compiled plans saved to
 //!   disk under a versioned schema and reloaded bit-exactly by a cold
 //!   process, so serving resumes with zero mapping searches.
-//! * [`metrics`] — latency breakdowns, p50/p99 percentiles and
-//!   server-lifetime statistics.
+//! * [`metrics`] — per-request latency breakdowns and the
+//!   [`ServerSnapshot`]: counters and streaming latency histograms,
+//!   live while the server runs and final from [`Server::shutdown`].
 //! * [`attrib`] — per-request **energy/delay attribution**: each traced
 //!   request carries the executed plan's
 //!   [`CostReport`](eyeriss_arch::cost::CostReport) plus the residual
@@ -75,8 +76,9 @@
 //! let response = server.submit(input.clone())?.wait()?;
 //! assert_eq!(response.output, golden.forward(1, &input)); // bit-exact
 //!
-//! let stats = server.shutdown();
-//! assert_eq!(stats.completed(), 1);
+//! let last = server.shutdown();
+//! assert_eq!(last.completed, 1);
+//! assert_eq!(last.total_ns.sum(), response.latency.total().as_nanos() as u64);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -95,9 +97,7 @@ pub use batch::BatchPolicy;
 pub use error::ServeError;
 pub use eyeriss_sim::fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use eyeriss_telemetry::{FlightDump, FlightRecord, SloMonitor, SloSignal, SloSpec};
-pub use metrics::{
-    percentile, LatencyBreakdown, LatencySummary, RequestRecord, ServerSnapshot, ServerStats,
-};
+pub use metrics::{LatencyBreakdown, ServerSnapshot};
 pub use plan::{CacheStats, CompiledPlan, Footprint, PlanCache, PlanCompiler, PlanKey, StagePlan};
 pub use recover::{BatchQueue, RecoveryPolicy};
 pub use runtime::{RequestHandle, Response, ServeConfig, Server, SubmitOptions};

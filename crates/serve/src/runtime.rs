@@ -20,8 +20,9 @@
 //! parallelism inside a batch flows through `eyeriss-par`'s
 //! thread-per-array executor — and executes batches from precompiled
 //! plans fetched from the shared [`crate::PlanCache`]. Every completed
-//! request carries a queue/compile/execute latency breakdown; the
-//! server aggregates p50/p99 and throughput in [`ServerStats`].
+//! request carries a queue/compile/execute latency breakdown, which the
+//! server folds into streaming histograms: [`Server::snapshot`] reads
+//! them live, [`Server::shutdown`] returns their final state.
 //!
 //! # Fault tolerance
 //!
@@ -42,7 +43,7 @@
 use crate::attrib::Attribution;
 use crate::batch::BatchPolicy;
 use crate::error::ServeError;
-use crate::metrics::{LatencyBreakdown, RequestRecord, ServerSnapshot, ServerStats};
+use crate::metrics::{LatencyBreakdown, ServerSnapshot};
 use crate::plan::{CompiledPlan, PlanCompiler, StagePlan};
 use crate::recover::{BatchQueue, RecoveryPolicy};
 use crate::sched::queue::{PushError, Pushed, ReadyQueue};
@@ -174,10 +175,13 @@ pub struct ServeConfig {
     pub hw: AcceleratorConfig,
     /// Telemetry instance the server records into. `None` (the
     /// default) gives the server a private, always-enabled instance so
-    /// [`Server::snapshot`] is live out of the box; pass a shared
-    /// instance to fold serve/cluster/sim metrics into one timeline
-    /// (e.g. [`eyeriss_telemetry::Telemetry::global`], or the engine's
-    /// via its builder).
+    /// [`Server::snapshot`] is live out of the box. The histograms and
+    /// counters in it are the server's only record of completed
+    /// requests: a disabled instance records none, and the server's
+    /// snapshots, [`Server::shutdown`]'s included, report zeros. Pass
+    /// a shared instance to fold serve/cluster/sim metrics into one
+    /// timeline (e.g. [`eyeriss_telemetry::Telemetry::global`], or the
+    /// engine's via its builder).
     pub telemetry: Option<Telemetry>,
     /// Service-level objectives evaluated live by the server's
     /// [`SloMonitor`] (empty = monitoring off). A breach dumps the
@@ -458,7 +462,6 @@ struct Shared {
     queue: BatchQueue<Vec<Pending>>,
     net: Arc<Network>,
     plans: NetPlans,
-    records: Mutex<Vec<RequestRecord>>,
     tele: Telemetry,
     metrics: ServeTele,
     monitor: SloMonitor,
@@ -538,8 +541,8 @@ fn spawn_worker(
 /// let server = Server::start(net, ServeConfig::new());
 /// let response = server.submit(input)?.wait()?;
 /// println!("request {} done in {:?}", response.id, response.latency.total());
-/// let stats = server.shutdown();
-/// assert_eq!(stats.completed(), 1);
+/// let last = server.shutdown();
+/// assert_eq!(last.completed, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Server {
@@ -604,7 +607,6 @@ impl Server {
             queue: BatchQueue::new(cfg.workers),
             plans: NetPlans::new(Arc::clone(&net), Arc::new(compiler)),
             net,
-            records: Mutex::new(Vec::new()),
             monitor: SloMonitor::new(cfg.slos, cfg.flight_capacity),
             healths: (0..cfg.workers)
                 .map(|_| Arc::new(ClusterHealth::new(cfg.arrays)))
@@ -907,10 +909,10 @@ impl Server {
 
     /// A live, point-in-time view of the server — queue depth,
     /// in-flight batches, pool health and streaming latency quantiles —
-    /// available **while requests are running**, unlike
-    /// [`Server::shutdown`]'s [`ServerStats`]. With the default
-    /// configuration (no injected telemetry) the backing instance is
-    /// always enabled, so this is never empty once requests complete.
+    /// available **while requests are running**; [`Server::shutdown`]
+    /// returns the final one. With the default configuration (no
+    /// injected telemetry) the backing instance is always enabled, so
+    /// this is never empty once requests complete.
     pub fn snapshot(&self) -> ServerSnapshot {
         let shared = &*self.shared;
         let metrics = &shared.metrics;
@@ -961,24 +963,16 @@ impl Server {
     }
 
     /// Drains in-flight requests, stops every thread and returns the
-    /// lifetime statistics.
-    pub fn shutdown(mut self) -> ServerStats {
+    /// final [`ServerSnapshot`]: every admitted request is accounted
+    /// for, and nothing is queued or in flight.
+    pub fn shutdown(mut self) -> ServerSnapshot {
         // The batcher drains what is queued, then exits (closing the
         // batch queue behind itself); the supervisor follows the pool.
         self.shared.ready.close();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        let mut records = self
-            .shared
-            .records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        ServerStats {
-            records: std::mem::take(&mut *records),
-            elapsed: self.started.elapsed(),
-            cache: self.cache_stats(),
-        }
+        self.snapshot()
     }
 }
 
@@ -1099,25 +1093,21 @@ fn execute_batch(
             // executed batch, its plan's analytic delay against the
             // measured execute wall time.
             if let (Some(first), Ok(plan)) = (done.first(), shared.plans.get(batch.len())) {
-                let execute_ns = first.0.latency.execute.as_nanos().min(u64::MAX as u128) as u64;
+                let execute_ns = first.latency.execute.as_nanos().min(u64::MAX as u128) as u64;
                 let cycles = shared.plans.attribution_basis(&plan).1;
                 shared.admission.estimator().observe(cycles, execute_ns);
             }
             let wants_records = !shared.monitor.is_empty();
-            let mut recs = shared
-                .records
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
             for (mut pending, response) in batch.into_iter().zip(done) {
                 pending.tenant.note_completed();
-                let latency = response.0.latency;
+                let latency = response.latency;
                 metrics.queue_ns.record_duration(latency.queue);
                 metrics.compile_ns.record_duration(latency.compile);
                 metrics.execute_ns.record_duration(latency.execute);
                 metrics.total_ns.record_duration(latency.total());
-                metrics.batch_size.record(response.0.batch_size as u64);
+                metrics.batch_size.record(response.batch_size as u64);
                 metrics.completed.inc();
-                if let Some(att) = &response.0.attribution {
+                if let Some(att) = &response.attribution {
                     metrics
                         .delay_residual
                         .record(att.residual_cycles().abs() as u64);
@@ -1125,13 +1115,7 @@ fn execute_batch(
                         shared.monitor.record(att.flight_record());
                     }
                 }
-                recs.push(RequestRecord {
-                    id: response.0.id,
-                    batch_size: response.0.batch_size,
-                    latency,
-                    sim_cycles: response.1,
-                });
-                pending.respond(Ok(response.0));
+                pending.respond(Ok(response));
             }
             Ok(())
         }
@@ -1196,8 +1180,8 @@ fn handle_failure(
     None
 }
 
-/// Executes one batch end-to-end; returns one `(response, sim_cycles)`
-/// per request, in batch order. With telemetry enabled, each response
+/// Executes one batch end-to-end; returns one response per request, in
+/// batch order. With telemetry enabled, each response
 /// carries an [`Attribution`] built from the executed plan's cost
 /// report and the simulator's measured cycles. Plans resolve at the
 /// cluster's *healthy* width, so a degraded worker transparently
@@ -1209,7 +1193,7 @@ fn run_batch(
     pool_chip: &mut Accelerator,
     batch: &[Pending],
     tele: &Telemetry,
-) -> Result<Vec<(Response, u64)>, ServeError> {
+) -> Result<Vec<Response>, ServeError> {
     let started = Instant::now();
     let b = batch.len();
     let (c, h) = net.input_dims();
@@ -1226,16 +1210,13 @@ fn run_batch(
     let t0 = Instant::now();
     let netplan = plans.get_for(b, cluster.healthy_arrays())?;
     let compile = t0.elapsed();
-    let mut sim_cycles = 0u64;
     // Weighted-stage cycles only: the residual compares against
     // `analytic_delay`, which prices weighted stages.
     let mut layer_cycles = 0u64;
     for (stage, splan) in net.stages().iter().zip(&netplan.stages) {
         match splan {
             StagePlan::Pool { shape, .. } => {
-                let (out, stats) = pool_chip.run_pool(shape, b, &act);
-                sim_cycles += stats.total_cycles();
-                act = out;
+                act = pool_chip.run_pool(shape, b, &act).0;
             }
             StagePlan::Layer {
                 shape, relu, plan, ..
@@ -1244,7 +1225,6 @@ fn run_batch(
                 let bias = stage.bias.as_ref().expect("weighted stage");
                 let problem = LayerProblem::new(*shape, b);
                 let run = cluster.execute(plan, &problem, &act, weights, bias)?;
-                sim_cycles += run.stats.cluster_cycles();
                 layer_cycles += run.stats.cluster_cycles();
                 act = reference::quantize(&run.psums, *relu);
             }
@@ -1279,16 +1259,13 @@ fn run_batch(
                 submitted_ns: tele.since_epoch(pending.submitted),
                 completed_ns: tele.since_epoch(completed),
             });
-            (
-                Response {
-                    id: pending.id,
-                    output,
-                    latency,
-                    batch_size: b,
-                    attribution,
-                },
-                sim_cycles,
-            )
+            Response {
+                id: pending.id,
+                output,
+                latency,
+                batch_size: b,
+                attribution,
+            }
         })
         .collect())
 }
@@ -1362,13 +1339,12 @@ mod tests {
         assert_eq!((t.submitted, t.admitted, t.completed), (6, 6, 6));
         assert_eq!((t.rejected, t.shed, t.expired), (0, 0, 0));
         assert_eq!(t.failed, 0);
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 6);
-        assert!(stats.p99() >= stats.p50());
+        let last = server.shutdown();
+        assert_eq!(last.completed, 6);
+        assert!(last.p99() >= last.p50());
         // Every weighted stage went through the plan cache (batch sizes
         // may differ between batches, so only misses are deterministic).
-        assert!(stats.cache.misses > 0);
-        assert!(stats.records.iter().all(|r| r.sim_cycles > 0));
+        assert!(last.cache.misses > 0);
     }
 
     #[test]
@@ -1380,9 +1356,10 @@ mod tests {
         let handles: Vec<_> = (0..6)
             .map(|i| server.submit(synth::ifmap(&shape, 1, i)).unwrap())
             .collect();
-        for handle in handles {
-            handle.wait().unwrap();
-        }
+        let total_ns: u64 = handles
+            .into_iter()
+            .map(|h| h.wait().unwrap().latency.total().as_nanos() as u64)
+            .sum();
         let snap = server.snapshot();
         assert_eq!(snap.completed, 6);
         assert_eq!(snap.shed, 0);
@@ -1407,16 +1384,13 @@ mod tests {
         let parsed = eyeriss_wire::Value::parse(&tele.to_wire().render()).unwrap();
         eyeriss_telemetry::TelemetrySnapshot::from_wire(&parsed).unwrap();
 
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 6);
-        // Streaming p50/p99 agree with the exact nearest-rank stats to
-        // within the documented bucket error.
-        let summary = stats.latency_summary();
-        for (stream, exact) in [(snap.p50(), summary.p50), (snap.p99(), summary.p99)] {
-            let bound = exact.as_nanos() as f64 * eyeriss_telemetry::RELATIVE_ERROR + 1.0;
-            let delta = stream.as_nanos().abs_diff(exact.as_nanos()) as f64;
-            assert!(delta <= bound, "stream {stream:?} vs exact {exact:?}");
-        }
+        // The final snapshot holds exactly the responses the clients
+        // received: one sample each, summing to their latencies.
+        let last = server.shutdown();
+        assert_eq!(last.completed, 6);
+        assert_eq!(last.total_ns.count(), 6);
+        assert_eq!(last.total_ns.sum(), total_ns);
+        assert_eq!(last.total_ns, snap.total_ns, "nothing ran after the waits");
     }
 
     #[test]
@@ -1429,8 +1403,7 @@ mod tests {
             server.try_submit(batch_of_two),
             Err(ServeError::Input(_))
         ));
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 0);
+        assert_eq!(server.shutdown().completed, 0);
     }
 
     #[test]
@@ -1441,8 +1414,8 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| server.submit(synth::ifmap(&shape, 1, i)).unwrap())
             .collect();
-        let stats = server.shutdown(); // must not drop queued work
-        assert_eq!(stats.completed(), 8);
+        let last = server.shutdown(); // must not drop queued work
+        assert_eq!(last.completed, 8);
         for handle in handles {
             assert!(handle.wait().is_ok());
         }
@@ -1497,14 +1470,14 @@ mod tests {
         for handle in handles {
             assert_eq!(handle.wait().unwrap().batch_size, 1);
         }
-        let stats = server.shutdown();
-        assert_eq!(stats.max_batch(), 1);
+        let last = server.shutdown();
+        assert_eq!(last.batch_size.quantile(1.0), Some(1));
         // With unbatched policy every request is size 1 and the workers
         // share one network plan per batch size: the layer cache is
         // consulted only by the first compile (3 weighted stages), and
         // no number of further requests adds lookups of either kind.
-        assert_eq!(stats.cache.misses, 3);
-        assert_eq!(stats.cache.hits, 0);
+        assert_eq!(last.cache.misses, 3);
+        assert_eq!(last.cache.hits, 0);
     }
 
     #[test]
@@ -1651,8 +1624,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 1);
+        assert_eq!(server.shutdown().completed, 1);
     }
 
     /// The explicit preset the benchmark sets; it must serve exactly as
@@ -1695,8 +1667,7 @@ mod tests {
         assert_eq!((t.submitted, t.admitted, t.completed), (6, 6, 6));
         assert_eq!((t.rejected, t.shed, t.expired), (0, 0, 0));
         assert_eq!(t.failed, 0);
-        let stats = server.shutdown();
-        assert_eq!(stats.completed(), 6);
+        assert_eq!(server.shutdown().completed, 6);
     }
 
     #[test]
@@ -1707,8 +1678,8 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| server.submit(synth::ifmap(&shape, 1, i)).unwrap())
             .collect();
-        let stats = server.shutdown(); // must not drop queued work
-        assert_eq!(stats.completed(), 8);
+        let last = server.shutdown(); // must not drop queued work
+        assert_eq!(last.completed, 8);
         for handle in handles {
             assert!(handle.wait().is_ok());
         }

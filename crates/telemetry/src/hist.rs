@@ -19,8 +19,8 @@
 //! Because the value -> bucket map is monotone, the nearest-rank walk
 //! over bucket counts selects exactly the bucket containing the
 //! nearest-rank sample, so the bound holds against the exact
-//! nearest-rank percentile (property-tested against
-//! `eyeriss_serve::metrics::percentile` in `tests/telemetry.rs`).
+//! nearest-rank percentile (property-tested against the local
+//! `nearest_rank` oracle in `tests/telemetry.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -260,6 +260,29 @@ impl HistogramSnapshot {
             .all(|(l, e)| l >= e)
     }
 
+    /// What was recorded after `earlier` (bucket-wise subtraction):
+    /// `late.since(&early)` describes exactly the values recorded
+    /// between the two snapshots. `None` when this snapshot does not
+    /// [`dominate`](HistogramSnapshot::dominates) `earlier`, i.e. it
+    /// cannot be a later view of the same histogram.
+    pub fn since(&self, earlier: &HistogramSnapshot) -> Option<HistogramSnapshot> {
+        if !self.dominates(earlier) {
+            return None;
+        }
+        let mut buckets = self.buckets.clone();
+        for (dst, &e) in buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *dst -= e;
+        }
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        Some(HistogramSnapshot {
+            buckets,
+            count: self.count - earlier.count,
+            sum: self.sum.wrapping_sub(earlier.sum),
+        })
+    }
+
     /// Sparse `(bucket index, count)` pairs for non-empty buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
@@ -334,5 +357,34 @@ mod tests {
         assert!(late.dominates(&early));
         assert!(!early.dominates(&late));
         assert!(late.dominates(&late));
+    }
+
+    #[test]
+    fn since_undoes_merge() {
+        let (a, b) = (HistCore::new(), HistCore::new());
+        for v in 0..500u64 {
+            a.record(v * 3);
+            b.record(v * v + 40_000);
+        }
+        let (a, b) = (a.snapshot(), b.snapshot());
+        let mut both = a.clone();
+        both.merge(&b);
+        assert_eq!(both.since(&a), Some(b.clone()), "bucket for bucket");
+        assert_eq!(both.since(&b), Some(a));
+        assert_eq!(both.since(&both), Some(HistogramSnapshot::default()));
+    }
+
+    #[test]
+    fn since_refuses_an_earlier_that_is_not_dominated() {
+        let core = HistCore::new();
+        core.record(5);
+        let early = core.snapshot();
+        core.record(77);
+        let late = core.snapshot();
+        assert_eq!(early.since(&late), None);
+        // Same count, different buckets: not a history of one histogram.
+        let other = HistCore::new();
+        other.record(6);
+        assert_eq!(early.since(&other.snapshot()), None);
     }
 }

@@ -199,13 +199,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "telemetry snapshot (wire schema): {}",
         server.telemetry().snapshot().to_wire().render()
     );
-    let stats = server.shutdown();
+    let last = server.shutdown();
     println!(
         "server lifetime: {} requests, plan cache {} searches / {} hits ({:.0}% hit rate)",
-        stats.completed(),
-        stats.cache.misses,
-        stats.cache.hits,
-        stats.cache.hit_rate() * 100.0,
+        last.completed,
+        last.cache.misses,
+        last.cache.hits,
+        last.cache.hit_rate() * 100.0,
     );
 
     // ---- 4. Persisted plan cache: compile once, serve cold, search never ----

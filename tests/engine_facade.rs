@@ -440,8 +440,7 @@ fn cold_engine_serves_bit_exactly_from_persisted_plans() {
             "served output diverged (seed {seed})"
         );
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.completed(), 4);
+    assert_eq!(server.shutdown().completed, 4);
     assert_eq!(
         cold.cache_stats().misses,
         0,

@@ -93,8 +93,7 @@ fn batched_execution_matches_single_array_simulation() {
         max_batch_seen >= 2,
         "requests submitted together must actually coalesce (saw max batch {max_batch_seen})"
     );
-    let stats = server.shutdown();
-    assert_eq!(stats.completed(), 4);
+    assert_eq!(server.shutdown().completed, 4);
 }
 
 /// (c) The offered-load sweep reports non-collapsing throughput up to

@@ -1,9 +1,8 @@
 //! Property-based telemetry correctness: the streaming log-bucketed
 //! histogram's quantiles must honor the documented error bound against
-//! the exact nearest-rank implementation (`eyeriss_serve::metrics::
-//! percentile`), snapshot merging must be order-insensitive and
-//! associative, and the lock-free registry must count exactly under
-//! multi-threaded hammering.
+//! an exact nearest-rank percentile ([`nearest_rank`]), snapshot merging
+//! must be order-insensitive and associative, and the lock-free registry
+//! must count exactly under multi-threaded hammering.
 
 use eyeriss::prelude::*;
 use eyeriss::telemetry::{
@@ -28,6 +27,16 @@ fn assert_within_bound(approx: u64, exact: u64, q: f64) {
     }
 }
 
+/// Exact nearest-rank percentile of non-empty `samples` (`q` in
+/// `(0, 1]`): the `⌈q·n⌉`-th smallest sample — the oracle the
+/// histogram's quantiles are held to.
+fn nearest_rank(samples: &[u64], q: f64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 fn record_all(samples: &[u64]) -> HistogramSnapshot {
     let tele = Telemetry::new_enabled();
     let h = tele.histogram("test.samples");
@@ -49,9 +58,7 @@ proptest! {
     ) {
         let q = [0.5, 0.9, 0.99][qi];
         let snap = record_all(&samples);
-        let durations: Vec<Duration> =
-            samples.iter().map(|&v| Duration::from_nanos(v)).collect();
-        let exact = eyeriss::serve::percentile(&durations, q).as_nanos() as u64;
+        let exact = nearest_rank(&samples, q);
         let approx = snap.quantile(q).expect("non-empty histogram");
         assert_within_bound(approx, exact, q);
     }
