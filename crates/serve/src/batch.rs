@@ -7,8 +7,10 @@
 //! Section VII-B) — at the cost of queueing latency. The
 //! [`BatchPolicy`] bounds both sides: a batch closes when it reaches
 //! `max_batch` requests or when `max_wait` has elapsed since its first
-//! request, whichever comes first. The runtime's batcher forms batches
-//! under it with [`ReadyQueue::next_batch`](crate::sched::ReadyQueue::next_batch).
+//! request was enqueued, whichever comes first. The runtime's workers
+//! form batches under it with
+//! [`ReadyQueue::next_batch`](crate::sched::ReadyQueue::next_batch), one
+//! at a time, so `max_wait` is spent only while a worker stands idle.
 
 use std::time::Duration;
 
@@ -41,8 +43,8 @@ impl Default for BatchPolicy {
     }
 }
 
-/// What a policy means for batch formation, checked against the one
-/// batcher the runtime runs.
+/// What a policy means for batch formation, checked against the
+/// queue's `next_batch`, which every worker calls.
 #[cfg(test)]
 mod tests {
     use super::*;

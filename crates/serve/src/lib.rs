@@ -18,11 +18,11 @@
 //!   batch of queued requests may grow and how long its first request
 //!   waits for company before it executes as one cluster run.
 //! * [`runtime`] — the **serving pipeline**: admission into a bounded
-//!   ready queue (a full queue makes [`Server::submit`] wait), one
-//!   batcher, and a supervised pool of workers, each executing batches
-//!   on a private multi-array [`Cluster`](eyeriss_cluster::Cluster)
-//!   from cached plans via `Cluster::execute`, with per-request
-//!   queue/compile/execute latency accounting.
+//!   ready queue (a full queue makes [`Server::submit`] wait) and a
+//!   supervised pool of workers, each forming batches from that queue
+//!   and executing them on a private multi-array
+//!   [`Cluster`](eyeriss_cluster::Cluster) from cached plans, with
+//!   per-request queue/compile/execute latency accounting.
 //! * [`persist`] — **plan-cache persistence**: compiled plans saved to
 //!   disk under a versioned schema and reloaded bit-exactly by a cold
 //!   process, so serving resumes with zero mapping searches.
@@ -46,12 +46,13 @@
 //! * [`recover`] — **fault tolerance**: workers run batches under
 //!   `catch_unwind` with a supervisor restarting the dead; ABFT
 //!   checksum mismatches and injected crashes retry with bounded
-//!   backoff ([`RecoveryPolicy`]) through a re-queue-capable
-//!   [`BatchQueue`]; persistently faulty arrays are quarantined and the
-//!   worker re-plans onto the healthy subset. Deterministic fault
-//!   injection opts in via [`ServeConfig::faults`] with a
-//!   [`FaultPlan`]; ABFT verification via [`ServeConfig::abft`]. Both
-//!   default off and cost nothing when disabled.
+//!   backoff ([`RecoveryPolicy`]) through the ready queue's
+//!   [`requeue`](sched::ReadyQueue::requeue); persistently faulty
+//!   arrays are quarantined and the worker re-plans onto the healthy
+//!   subset. Deterministic fault injection opts in via
+//!   [`ServeConfig::faults`] with a [`FaultPlan`]; ABFT verification
+//!   via [`ServeConfig::abft`]. Both default off and cost nothing when
+//!   disabled.
 //!
 //! # Example
 //!
@@ -99,7 +100,7 @@ pub use eyeriss_sim::fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, Fau
 pub use eyeriss_telemetry::{FlightDump, FlightRecord, SloMonitor, SloSignal, SloSpec};
 pub use metrics::{LatencyBreakdown, ServerSnapshot};
 pub use plan::{CacheStats, CompiledPlan, Footprint, PlanCache, PlanCompiler, PlanKey, StagePlan};
-pub use recover::{BatchQueue, RecoveryPolicy};
+pub use recover::RecoveryPolicy;
 pub use runtime::{RequestHandle, Response, ServeConfig, Server, SubmitOptions};
 pub use sched::{
     AdmissionError, Priority, RateLimit, SchedConfig, TenantId, TenantSnapshot, TenantSpec,

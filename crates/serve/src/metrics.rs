@@ -44,9 +44,9 @@ pub struct ServerSnapshot {
     pub completed: u64,
     /// Requests rejected at admission or evicted from a full queue.
     pub shed: u64,
-    /// Requests currently waiting in the ready queue (or in a `submit`
-    /// waiting for room, or picked up by the batcher but not yet
-    /// dispatched).
+    /// Requests currently waiting in the ready queue: in a batch still
+    /// forming, in a retried batch handed back, or in a `submit`
+    /// waiting for room.
     pub queue_depth: i64,
     /// Batches currently executing on workers.
     pub inflight_batches: i64,

@@ -1,6 +1,4 @@
-//! Recovery machinery for the supervised serving runtime: the retry /
-//! quarantine policy and the batch dispatch queue that supports
-//! re-queuing.
+//! Recovery policy for the supervised serving runtime.
 //!
 //! The runtime's failure model distinguishes three layers:
 //!
@@ -15,16 +13,7 @@
 //!   in-flight batch's requests fail with a typed
 //!   [`WorkerLost`](crate::ServeError::WorkerLost) rather than a hung
 //!   client.
-//!
-//! [`BatchQueue`] replaces a plain MPSC channel for batch dispatch
-//! because recovery needs an operation channels lack: a worker that hit
-//! a transient fault must put the batch *back* without deadlocking —
-//! [`BatchQueue::requeue`] is front-of-queue and never blocks, even at
-//! capacity (re-queued work was already admitted once; refusing it
-//! would drop accepted requests).
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Retry, backoff and quarantine policy for the serving runtime.
@@ -64,183 +53,52 @@ impl Default for RecoveryPolicy {
     }
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPMC queue of dispatched batches with three operations a
-/// recovery-capable pool needs: blocking bounded [`push`](Self::push)
-/// (backpressure toward the batcher), non-blocking front-of-queue
-/// [`requeue`](Self::requeue) (retry without deadlock), and blocking
-/// [`pop`](Self::pop) that drains remaining items after
-/// [`close`](Self::close) before reporting shutdown. All internal locks
-/// recover from poisoning: the queue state is a plain `VecDeque`, valid
-/// whatever a panicking thread was doing around it.
-pub struct BatchQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    /// Signalled when an item arrives or the queue closes (wakes `pop`).
-    available: Condvar,
-    /// Signalled when an item leaves (wakes bounded `push`).
-    space: Condvar,
-}
-
-impl<T> BatchQueue<T> {
-    /// A queue holding at most `capacity` items (min 1) under `push`.
-    pub fn new(capacity: usize) -> Self {
-        BatchQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            available: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Appends `item`, blocking while the queue is at capacity.
-    /// Returns `Err(item)` if the queue is closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self
-                .space
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Puts `item` at the *front* of the queue, never blocking and
-    /// ignoring capacity: retried work was admitted once already and
-    /// jumps ahead of newer batches, bounding its extra latency. Even a
-    /// closed queue accepts a requeue — the items behind `close` are
-    /// still being drained, and dropping a retry would drop accepted
-    /// requests.
-    pub fn requeue(&self, item: T) {
-        let mut state = self.lock();
-        state.items.push_front(item);
-        drop(state);
-        self.available.notify_one();
-    }
-
-    /// Removes the front item, blocking while the queue is open and
-    /// empty. Returns `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.space.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: pushes fail, pops drain the backlog then
-    /// return `None`. Idempotent.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.available.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Number of queued items right now.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Instant;
+    use crate::batch::BatchPolicy;
+    use crate::sched::ReadyQueue;
 
+    fn queue(capacity: usize) -> ReadyQueue<u64> {
+        ReadyQueue::new(capacity, 1.0, 0)
+    }
+
+    fn batch_of(q: &ReadyQueue<u64>) -> Option<Vec<u64>> {
+        q.next_batch(&BatchPolicy::unbatched(), || 0)
+            .map(|d| d.batch)
+    }
+
+    // A retried batch goes back through `ReadyQueue::requeue`: it must
+    // come back first, whole (even under a one-item batch policy), and
+    // ahead of entries queued before it.
     #[test]
     fn fifo_order_with_requeue_at_front() {
-        let q = BatchQueue::new(8);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.requeue(0);
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        let q = queue(8);
+        q.push(1, 0, 1.0, 1, None, 0).unwrap();
+        q.push(2, 0, 1.0, 1, None, 0).unwrap();
+        q.requeue(vec![0, 3]);
+        assert_eq!(batch_of(&q), Some(vec![0, 3]), "first and whole");
+        assert_eq!(batch_of(&q), Some(vec![1]));
+        assert_eq!(batch_of(&q), Some(vec![2]));
     }
 
-    #[test]
-    fn close_drains_then_reports_shutdown() {
-        let q = BatchQueue::new(8);
-        q.push(1).unwrap();
-        q.close();
-        assert_eq!(q.push(9), Err(9), "closed queue rejects pushes");
-        q.requeue(0); // retries still land
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None, "stays closed");
-    }
-
+    // A worker hands a failed batch back while the queue is full; the
+    // hand-off ignores capacity. A blocked call fails after 10 s (a hang
+    // guard, not a timing check).
     #[test]
     fn requeue_never_blocks_at_capacity() {
-        let q = BatchQueue::new(1);
-        q.push(1).unwrap();
-        let started = Instant::now();
-        q.requeue(0); // over capacity, must not block
-        assert!(started.elapsed() < Duration::from_millis(100));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn bounded_push_blocks_until_pop() {
-        let q = Arc::new(BatchQueue::new(1));
-        q.push(1).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(2))
-        };
-        // Give the producer time to block on the full queue.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.len(), 1, "producer is blocked, not queued");
-        assert_eq!(q.pop(), Some(1));
-        assert!(producer.join().unwrap().is_ok());
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn pop_blocks_until_push() {
-        let q = Arc::new(BatchQueue::<u32>::new(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(7).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(7));
+        let q = std::sync::Arc::new(queue(1));
+        q.push(1, 0, 1.0, 1, None, 0).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q2 = std::sync::Arc::clone(&q);
+        std::thread::spawn(move || {
+            q2.requeue(vec![0]);
+            tx.send(())
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("requeue blocked on a full queue");
+        assert_eq!(batch_of(&q), Some(vec![0]));
+        assert_eq!(batch_of(&q), Some(vec![1]));
     }
 
     #[test]

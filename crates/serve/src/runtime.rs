@@ -1,14 +1,17 @@
-//! The request runtime: admission, the ready queue, the dynamic batcher
-//! and the supervised multi-array worker pool — one pipeline for every
-//! server.
+//! The request runtime: admission, the ready queue and the supervised
+//! multi-array worker pool — one pipeline for every server.
 //!
 //! ```text
-//!  submit(_with)──►admission──►[ReadyQueue]──►batcher──►[BatchQueue]─┬─►worker 0 (Cluster of A arrays)
-//!                  tenant,      tier→DRR→EDF;  up to max_batch /     ├─►worker 1 (Cluster of A arrays)
-//!                  deadline,    full: submit   max_wait; sheds       └─►worker W-1      │
-//!                  quota, burn  waits, the     expired entries                supervisor restarts the dead
-//!                               rest bounce
+//!  submit(_with)──►admission──►[ReadyQueue]──┬─►worker 0 (Cluster of A arrays)
+//!                  tenant,      tier→DRR→EDF; ├─►worker 1 (Cluster of A arrays)
+//!                  deadline,    full: submit  └─►worker W-1
+//!                  quota, burn  waits, the        │
+//!                               rest bounce   supervisor restarts the dead
 //! ```
+//!
+//! A free worker forms the next batch itself ([`ReadyQueue::next_batch`]),
+//! so requests that arrive while every worker is busy join that batch
+//! instead of waiting out a fresh window.
 //!
 //! Tenants, deadlines and priorities come from the scheduling layer
 //! ([`crate::sched`]). A plain [`Server::submit`] is `submit_with` for
@@ -32,7 +35,7 @@
 //! each request's drop guard). Typed transient failures from the
 //! cluster (an ABFT [`ClusterError::Corrupted`] mismatch or an injected
 //! [`ClusterError::Crashed`]) retry with bounded backoff through
-//! [`BatchQueue::requeue`]; arrays that fail
+//! [`ReadyQueue::requeue`]; arrays that fail
 //! [`RecoveryPolicy::quarantine_after`] consecutive times are
 //! quarantined and the worker re-plans onto its healthy subset. A
 //! worker whose every array is quarantined retires, shrinking the pool
@@ -45,7 +48,7 @@ use crate::batch::BatchPolicy;
 use crate::error::ServeError;
 use crate::metrics::{LatencyBreakdown, ServerSnapshot};
 use crate::plan::{CompiledPlan, PlanCompiler, StagePlan};
-use crate::recover::{BatchQueue, RecoveryPolicy};
+use crate::recover::RecoveryPolicy;
 use crate::sched::queue::{PushError, Pushed, ReadyQueue};
 use crate::sched::tenant::TenantState;
 use crate::sched::{
@@ -436,7 +439,7 @@ impl RequestHandle {
 
 /// How a worker's loop ended, reported to the supervisor.
 enum WorkerExit {
-    /// The dispatch queue closed and drained: clean shutdown.
+    /// The ready queue closed and drained: clean shutdown.
     Shutdown,
     /// Every array in this worker's cluster is quarantined; the worker
     /// handed its batch back and left the pool.
@@ -447,10 +450,9 @@ enum WorkerExit {
 }
 
 /// Everything the server's threads share, once, behind an `Arc`: the
-/// submit path, the batcher, the workers and the supervisor that
-/// respawns them.
+/// submit path, the workers and the supervisor that respawns them.
 struct Shared {
-    /// Admitted requests awaiting the batcher: tier → DRR → EDF.
+    /// Admitted requests awaiting a worker: tier → DRR → EDF.
     ready: ReadyQueue<Pending>,
     registry: TenantRegistry,
     admission: AdmissionController,
@@ -458,8 +460,6 @@ struct Shared {
     /// on first use.
     unit_cycles: OnceLock<Option<f64>>,
     policy: BatchPolicy,
-    /// Formed batches awaiting a worker.
-    queue: BatchQueue<Vec<Pending>>,
     net: Arc<Network>,
     plans: NetPlans,
     tele: Telemetry,
@@ -492,6 +492,27 @@ impl Shared {
             queued: self.metrics.queue_depth.get(),
             inflight: self.metrics.inflight_batches.get(),
         }
+    }
+
+    /// The next batch for a worker under the server's policy, with its
+    /// expired entries shed; every entry it takes leaves `queue_depth`.
+    /// `None` once the ready queue is closed and drained.
+    fn next_batch(&self) -> Option<Vec<Pending>> {
+        let now = || self.tele.since_epoch(Instant::now());
+        let drained = self.ready.next_batch(&self.policy, now)?;
+        let taken = drained.batch.len() + drained.expired.len();
+        self.metrics.queue_depth.add(-(taken as i64));
+        for mut pending in drained.expired {
+            pending.expire(&self.metrics.expired);
+        }
+        Some(drained.batch)
+    }
+
+    /// Hands `batch` back to the ready queue, ahead of any new batch; it
+    /// counts as queued until a worker takes it again.
+    fn requeue(&self, batch: Vec<Pending>) {
+        self.metrics.queue_depth.add(batch.len() as i64);
+        self.ready.requeue(batch);
     }
 
     /// The batch-1 plan's analytic delay, which prices completion
@@ -547,15 +568,15 @@ fn spawn_worker(
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    /// The batcher, then the supervisor: the order shutdown joins them.
-    threads: Vec<JoinHandle<()>>,
+    /// Joins the workers, so joining it joins the pool.
+    supervisor: Option<JoinHandle<()>>,
     started: Instant,
     next_id: AtomicU64,
 }
 
 impl Server {
-    /// Starts batcher, worker and supervisor threads serving `net` with
-    /// a fresh plan cache.
+    /// Starts worker and supervisor threads serving `net` with a fresh
+    /// plan cache, and returns once every worker waits for requests.
     ///
     /// # Panics
     ///
@@ -599,12 +620,6 @@ impl Server {
             admission: AdmissionController::new(cfg.workers, cfg.policy.max_batch),
             unit_cycles: OnceLock::new(),
             policy: cfg.policy,
-            // Bounded by the worker count so that a slow pool pushes back
-            // through the batcher into the ready queue and onto the
-            // admission estimate. Workers put transiently-faulted batches
-            // *back* via its unbounded front-of-queue requeue — the
-            // operation a plain channel lacks.
-            queue: BatchQueue::new(cfg.workers),
             plans: NetPlans::new(Arc::clone(&net), Arc::new(compiler)),
             net,
             monitor: SloMonitor::new(cfg.slos, cfg.flight_capacity),
@@ -626,32 +641,6 @@ impl Server {
             arrays: cfg.arrays,
             hw: cfg.hw,
         });
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let metrics = &shared.metrics;
-                let now = || shared.tele.since_epoch(Instant::now());
-                while let Some(drained) = shared.ready.next_batch(&shared.policy, now) {
-                    for mut pending in drained.expired {
-                        metrics.queue_depth.dec();
-                        pending.expire(&metrics.expired);
-                    }
-                    if drained.batch.is_empty() {
-                        continue;
-                    }
-                    metrics.queue_depth.add(-(drained.batch.len() as i64));
-                    if let Err(refused) = shared.queue.push(drained.batch) {
-                        // The pool is gone. Refuse new submits *before*
-                        // the refused batch fails its clients, so none of
-                        // them can be admitted into a queue nobody drains;
-                        // whatever is still queued fails the same way.
-                        shared.ready.close();
-                        drop(refused);
-                    }
-                }
-                shared.queue.close();
-            })
-        };
 
         let (exit_tx, exit_rx) = mpsc::channel::<(usize, WorkerExit)>();
         let mut handles: Vec<Option<JoinHandle<()>>> = (0..cfg.workers)
@@ -677,24 +666,29 @@ impl Server {
                     }
                 }
                 // The pool is gone — drained shutdown, or every worker
-                // retired. Close the dispatch queue and drain whatever
+                // retired. Refuse new submits first, then drain whatever
                 // is still queued: each dropped request's guard sends a
                 // typed `WorkerLost`, so no client waits forever.
-                shared.queue.close();
-                while shared.queue.pop().is_some() {}
+                shared.ready.close();
+                while shared.next_batch().is_some() {}
             })
         };
 
+        // Batches form in the order workers ask, so with every worker
+        // asking, the first requests spread over the whole pool.
+        while shared.ready.callers() < cfg.workers {
+            std::thread::sleep(Duration::from_micros(50));
+        }
         Server {
             shared,
-            threads: vec![batcher, supervisor],
+            supervisor: Some(supervisor),
             started: Instant::now(),
             next_id: AtomicU64::new(0),
         }
     }
 
-    /// Compiles the served network's plans for every batch size the
-    /// batcher can form (`1..=max_batch`), so no request ever pays a
+    /// Compiles the served network's plans for every batch size a
+    /// worker can form (`1..=max_batch`), so no request ever pays a
     /// plan search at serving time. Returns one shared
     /// [`crate::CompiledPlan`] handle per batch size, in increasing-size
     /// order — the same `Arc`s the workers will execute from.
@@ -828,8 +822,8 @@ impl Server {
             shared.observe_admission(true);
             return Err(e.into());
         }
-        // Increment before the push: the matching decrement (in the
-        // batcher) can only follow a successful push, so the gauge never
+        // Increment before the push: the matching decrement (in a
+        // worker) can only follow a successful push, so the gauge never
         // goes negative (a waiting submit counts as queued).
         shared.metrics.queue_depth.inc();
         let push = if wait {
@@ -966,11 +960,11 @@ impl Server {
     /// final [`ServerSnapshot`]: every admitted request is accounted
     /// for, and nothing is queued or in flight.
     pub fn shutdown(mut self) -> ServerSnapshot {
-        // The batcher drains what is queued, then exits (closing the
-        // batch queue behind itself); the supervisor follows the pool.
+        // The workers drain what is queued, then exit; the supervisor
+        // follows the pool.
         self.shared.ready.close();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(supervisor) = self.supervisor.take() {
+            let _ = supervisor.join();
         }
         self.snapshot()
     }
@@ -978,15 +972,15 @@ impl Server {
 
 impl Drop for Server {
     /// A server dropped without [`Server::shutdown`] still answers what
-    /// it admitted: closing the ready queue lets its threads drain it
+    /// it admitted: closing the ready queue lets its workers drain it
     /// and exit.
     fn drop(&mut self) {
         self.shared.ready.close();
     }
 }
 
-/// One worker: picks whole batches off the shared queue and executes
-/// them on its private cluster under `catch_unwind`, retrying
+/// One worker: forms batches from the ready queue and executes them
+/// on its private cluster under `catch_unwind`, retrying
 /// transiently-faulted batches, until the queue closes, the worker's
 /// last array is quarantined, or a panic kills it.
 fn worker_loop(
@@ -995,7 +989,7 @@ fn worker_loop(
     cluster: &Cluster,
     mut pool_chip: Accelerator,
 ) -> WorkerExit {
-    while let Some(mut batch) = shared.queue.pop() {
+    while let Some(mut batch) = shared.next_batch() {
         recheck_deadlines(shared, &mut batch);
         if batch.is_empty() {
             continue;
@@ -1022,9 +1016,10 @@ fn worker_loop(
     WorkerExit::Shutdown
 }
 
-/// Re-checks deadlines at pickup: the dispatch queue holds several
-/// batches, so a request can outlive its deadline between dispatch and
-/// pickup. Expiring it now bounds a completed request's latency by its
+/// Re-checks deadlines at pickup: a batch waits out its `max_wait`
+/// window, and a retried one its backoff, after its entries were
+/// checked, so a request can outlive its deadline before it runs.
+/// Expiring it now bounds a completed request's latency by its
 /// deadline plus one batch execution. Filters `batch` in place, and
 /// reads no clock when no request in it carries a deadline.
 fn recheck_deadlines(shared: &Shared, batch: &mut Vec<Pending>) {
@@ -1157,7 +1152,7 @@ fn handle_failure(
             // the pool and retire. The requeue bypasses the retry
             // budget — another worker's healthy cluster may complete it
             // first try.
-            shared.queue.requeue(batch);
+            shared.requeue(batch);
             shared.metrics.live_workers.dec();
             let live = shared.metrics.live_workers.get().max(1) as usize;
             shared.admission.set_workers(live);
@@ -1171,7 +1166,7 @@ fn handle_failure(
         }
         shared.metrics.retries.add(batch.len() as u64);
         std::thread::sleep(shared.recovery.backoff_for(attempt));
-        shared.queue.requeue(batch);
+        shared.requeue(batch);
     } else {
         for mut pending in batch {
             pending.fail(err.clone());

@@ -24,14 +24,20 @@
 //! dispatch — they cost a queue slot while waiting but never reach an
 //! array.
 //!
+//! Workers form their own batches with [`ReadyQueue::next_batch`], one
+//! at a time, and hand back a batch they could not finish with
+//! [`ReadyQueue::requeue`], which never blocks.
+//!
 //! All mutation takes an explicit `now_ns` stamp (the telemetry epoch
 //! timeline), so ordering, aging and expiry are deterministic in tests;
-//! only the blocking [`ReadyQueue::next_batch`] touches the wall clock,
-//! and only for its [`BatchPolicy::max_wait`] timeout.
+//! only the blocking [`ReadyQueue::next_batch`] waits on the wall clock,
+//! and only for its [`BatchPolicy::max_wait`] window, which it measures
+//! from the first entry's enqueue stamp on the caller's `now()`.
 
 use crate::batch::BatchPolicy;
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::Duration;
 
 /// One queued entry.
 #[derive(Debug)]
@@ -106,6 +112,12 @@ struct Inner<T> {
     /// Producers parked in [`ReadyQueue::push_wait`]; pops signal
     /// `space` only when there is one.
     waiting: usize,
+    /// Whole batches handed back by [`ReadyQueue::requeue`], next out.
+    requeued: VecDeque<Vec<T>>,
+    /// Turns to form a batch handed out to [`ReadyQueue::next_batch`]
+    /// calls, and the turn now forming.
+    tickets: u64,
+    serving: u64,
 }
 
 /// Outcome of a successful [`ReadyQueue::push`].
@@ -151,9 +163,12 @@ pub struct Drained<T> {
 #[derive(Debug)]
 pub struct ReadyQueue<T> {
     inner: Mutex<Inner<T>>,
-    /// Signalled when an entry arrives or the queue closes (wakes
-    /// [`ReadyQueue::next_batch`]).
+    /// Signalled when an entry or a requeued batch arrives, or the queue
+    /// closes (wakes the [`ReadyQueue::next_batch`] call forming one).
     available: Condvar,
+    /// Signalled when a batch is formed (wakes the `next_batch` calls
+    /// waiting their turn).
+    turn: Condvar,
     /// Signalled when entries leave or the queue closes (wakes
     /// [`ReadyQueue::push_wait`]).
     space: Condvar,
@@ -175,8 +190,12 @@ impl<T> ReadyQueue<T> {
                 cursor: 0,
                 closed: false,
                 waiting: 0,
+                requeued: VecDeque::new(),
+                tickets: 0,
+                serving: 0,
             }),
             available: Condvar::new(),
+            turn: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
             quantum: quantum.max(1e-6),
@@ -312,10 +331,10 @@ impl<T> ReadyQueue<T> {
         if popped.is_some() && inner.waiting > 0 {
             self.space.notify_one();
         }
-        popped
+        popped.map(|(entry, info)| (entry.item, info))
     }
 
-    fn pop_locked(&self, inner: &mut Inner<T>, now_ns: u64) -> Option<(T, Popped)> {
+    fn pop_locked(&self, inner: &mut Inner<T>, now_ns: u64) -> Option<(Entry<T>, Popped)> {
         if inner.len == 0 {
             return None;
         }
@@ -367,7 +386,7 @@ impl<T> ReadyQueue<T> {
                 // Stay on this lane while its credit lasts.
                 inner.cursor = idx;
                 let expired = entry.deadline_ns.is_some_and(|d| d <= now_ns);
-                return Some((entry.item, Popped { lane: idx, expired }));
+                return Some((entry, Popped { lane: idx, expired }));
             }
             debug_assert!(competing, "best_tier came from a queued entry");
             // Top-up round for every lane competing at the winning
@@ -386,61 +405,103 @@ impl<T> ReadyQueue<T> {
     }
 
     /// Blocks for the next batch under `policy`, stamping pops with
-    /// `now()` (epoch nanoseconds): waits for the first entry, then
-    /// drains until the batch is full, `max_wait` elapses or the queue
-    /// closes. Entries that expired in queue are split out and do not
-    /// count toward the batch. Returns `None` once closed *and* empty.
+    /// `now()` (epoch nanoseconds). A requeued batch comes out first,
+    /// whole. Otherwise the call waits its turn (one batch forms at a
+    /// time, turns in call order), then for the first entry, and drains
+    /// until the batch is full, the queue closes, or `max_wait` has
+    /// passed since that entry was enqueued. Entries that expired in
+    /// queue are split out and do not count toward the batch. Returns
+    /// `None` once closed *and* empty.
     pub fn next_batch(&self, policy: &BatchPolicy, now: impl Fn() -> u64) -> Option<Drained<T>> {
         let max_batch = policy.max_batch.max(1);
+        let max_wait_ns = policy.max_wait.as_nanos().min(u64::MAX as u128) as u64;
+        let mut batch = Vec::new();
+        let mut expired = Vec::new();
         let mut inner = self.lock();
-        loop {
-            while inner.len == 0 {
+        if let Some(batch) = inner.requeued.pop_front() {
+            return Some(Drained { batch, expired });
+        }
+        // Callers form batches one at a time, in arrival order, so an
+        // idle caller is not overtaken by one back from a batch.
+        let ticket = inner.tickets;
+        inner.tickets += 1;
+        while inner.serving != ticket {
+            inner = self
+                .turn
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        // The first entry's enqueue stamp plus `max_wait`.
+        let mut window_end = None;
+        let drained = loop {
+            if window_end.is_none() {
+                if let Some(batch) = inner.requeued.pop_front() {
+                    break Some(Drained { batch, expired });
+                }
+            }
+            let taken = batch.len() + expired.len();
+            while batch.len() < max_batch {
+                match self.pop_locked(&mut inner, now()) {
+                    Some((entry, info)) => {
+                        window_end.get_or_insert(entry.enqueued_ns.saturating_add(max_wait_ns));
+                        if info.expired {
+                            expired.push(entry.item);
+                        } else {
+                            batch.push(entry.item);
+                        }
+                    }
+                    None => break,
+                }
+            }
+            if inner.waiting > 0 && batch.len() + expired.len() > taken {
+                // Room now, not when the batch closes: a producer
+                // blocked on a full queue may be the batch's company.
+                self.space.notify_all();
+            }
+            let Some(window_end) = window_end else {
                 if inner.closed {
-                    return None;
+                    break None;
                 }
                 inner = self
                     .available
                     .wait(inner)
                     .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let remaining = window_end.saturating_sub(now());
+            if batch.len() >= max_batch || inner.closed || remaining == 0 {
+                break Some(Drained { batch, expired });
             }
-            let deadline = Instant::now() + policy.max_wait;
-            let mut batch = Vec::new();
-            let mut expired = Vec::new();
-            loop {
-                let taken = batch.len() + expired.len();
-                while batch.len() < max_batch {
-                    match self.pop_locked(&mut inner, now()) {
-                        Some((item, info)) if info.expired => expired.push(item),
-                        Some((item, _)) => batch.push(item),
-                        None => break,
-                    }
-                }
-                if inner.waiting > 0 && batch.len() + expired.len() > taken {
-                    // Room now, not when the batch closes: a producer
-                    // blocked on a full queue may be the batch's company.
-                    self.space.notify_all();
-                }
-                if batch.len() >= max_batch || inner.closed {
-                    break;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .available
-                    .wait_timeout(inner, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = guard;
-                if timeout.timed_out() && inner.len == 0 {
-                    break;
-                }
+            let (guard, timeout) = self
+                .available
+                .wait_timeout(inner, Duration::from_nanos(remaining))
+                .unwrap_or_else(PoisonError::into_inner);
+            inner = guard;
+            if timeout.timed_out() && inner.len == 0 {
+                break Some(Drained { batch, expired });
             }
-            if !batch.is_empty() || !expired.is_empty() {
-                return Some(Drained { batch, expired });
-            }
-            // Nothing materialized (raced pops / spurious wake): loop.
-        }
+        };
+        inner.serving += 1;
+        drop(inner);
+        self.turn.notify_all();
+        drained
+    }
+
+    /// [`ReadyQueue::next_batch`] calls in progress: forming a batch or
+    /// waiting their turn.
+    pub(crate) fn callers(&self) -> usize {
+        let inner = self.lock();
+        (inner.tickets - inner.serving) as usize
+    }
+
+    /// Puts `batch` back at the front of the queue, whole: the next
+    /// [`ReadyQueue::next_batch`] hands it out before any new batch
+    /// forms. Never blocks and ignores capacity, and a closed queue
+    /// accepts it too — a requeued batch was admitted once, and the
+    /// queue drains it before reporting shutdown.
+    pub fn requeue(&self, batch: Vec<T>) {
+        self.lock().requeued.push_front(batch);
+        self.available.notify_one();
     }
 
     /// Closes the queue: further pushes fail (blocked ones included),
@@ -578,6 +639,47 @@ mod tests {
         let mut seen = consumer.join().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..6).collect::<Vec<_>>(), "close drains the queue");
+    }
+
+    /// Runs `f` on a helper thread and returns its result; a call that
+    /// blocks for 10 s fails the test (a hang guard, not a timing check).
+    fn within_10s<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the call blocked")
+    }
+
+    fn batch_of(q: &ReadyQueue<u64>) -> Option<Vec<u64>> {
+        q.next_batch(&BatchPolicy::unbatched(), || 0)
+            .map(|d| d.batch)
+    }
+
+    #[test]
+    fn requeue_after_close_is_drained_before_shutdown() {
+        let q = queue(16);
+        q.push(1, 0, 1.0, 1, None, 0).unwrap();
+        q.close();
+        q.requeue(vec![0]);
+        assert_eq!(batch_of(&q), Some(vec![0]));
+        assert_eq!(batch_of(&q), Some(vec![1]));
+        assert_eq!(batch_of(&q), None);
+        assert_eq!(batch_of(&q), None, "stays closed");
+    }
+
+    #[test]
+    fn max_wait_runs_from_the_first_entrys_enqueue_stamp() {
+        let q = queue(16);
+        q.push(7, 0, 1.0, 1, None, 0).unwrap();
+        let max_wait = Duration::from_secs(30);
+        let policy = BatchPolicy {
+            max_batch: 4,
+            max_wait,
+        };
+        // 30 s past the entry's stamp: its window has already closed.
+        let now = max_wait.as_nanos() as u64;
+        let drained = within_10s(move || q.next_batch(&policy, || now).map(|d| d.batch));
+        assert_eq!(drained, Some(vec![7]));
     }
 
     /// Spawns `push_wait(item)` and returns once it is parked on the

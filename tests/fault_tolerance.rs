@@ -133,8 +133,8 @@ fn losing_the_whole_pool_refuses_later_submits() {
 
     let a = server.submit(synth::ifmap(&shape, 1, 1)).unwrap().wait();
     assert!(matches!(a, Err(ServeError::WorkerLost)), "A: {a:?}");
-    let b = server.submit(synth::ifmap(&shape, 1, 2)).unwrap().wait();
-    assert!(matches!(b, Err(ServeError::WorkerLost)), "B: {b:?}");
+    let b = server.submit(synth::ifmap(&shape, 1, 2));
+    assert!(matches!(b, Err(ServeError::ShutDown)), "B: {b:?}");
     let c = server.submit(synth::ifmap(&shape, 1, 3));
     assert!(matches!(c, Err(ServeError::ShutDown)), "C: {c:?}");
     let snap = server.snapshot();
