@@ -2,8 +2,8 @@
 //!
 //! A multi-array cluster does not get one private DRAM channel per array:
 //! the arrays share membership of one memory system. The model here is
-//! the cluster-level analogue of [`eyeriss_sim::dram::DramModel`]'s
-//! double-buffering argument: every array's DRAM traffic must stream
+//! the cluster-level analogue of the simulator's per-chip DRAM model and
+//! its double-buffering argument: every array's DRAM traffic must stream
 //! through one shared channel, overlapped with the cluster's compute.
 //! Only the excess — total transfer cycles beyond the slowest array's
 //! compute — stalls the cluster.

@@ -88,7 +88,7 @@ pub struct Accelerator {
     /// Where layer/pass spans are recorded (defaults to the disabled
     /// [`Telemetry::global`] instance).
     tele: Telemetry,
-    /// Private scratch arena, reused across every run on this chip.
+    /// The chip's buffers, reused across every run on it.
     scratch: SimScratch,
     /// Memoized winning mappings per `(shape, batch)` — the search is
     /// deterministic on a fixed configuration, so replaying a layer
@@ -107,7 +107,7 @@ impl Accelerator {
             mesh_model: None,
             dram: DramModel::default(),
             tele: Telemetry::global().clone(),
-            scratch: SimScratch::new(),
+            scratch: SimScratch::default(),
             mappings: HashMap::new(),
         }
     }
@@ -120,7 +120,8 @@ impl Accelerator {
     }
 
     /// Overrides the DRAM bandwidth model.
-    pub fn dram(mut self, dram: DramModel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn dram(mut self, dram: DramModel) -> Self {
         self.dram = dram;
         self
     }
@@ -173,9 +174,10 @@ impl Accelerator {
     /// Runs one CONV or FC layer, returning bit-exact psums and measured
     /// statistics.
     ///
-    /// Buffers (the psum strip, RLC code words) and the winning mapping
-    /// are reused across calls on the same chip, so repeated layers
-    /// execute allocation-free and search-free in steady state.
+    /// The chip owns its buffers (the psum strip, the pair-MAC band and
+    /// the RLC code words) and each layer's winning mapping, and reuses
+    /// both across calls, so repeated layers execute allocation-free and
+    /// search-free in steady state.
     ///
     /// # Errors
     ///
@@ -192,33 +194,6 @@ impl Accelerator {
         weights: &Tensor4<Fix16>,
         bias: &[Fix16],
     ) -> Result<LayerRun, SimError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.run_conv_with(&mut scratch, shape, n_batch, input, weights, bias);
-        self.scratch = scratch;
-        result
-    }
-
-    /// [`Accelerator::run_conv`] against a caller-owned [`SimScratch`] —
-    /// for pooled execution contexts shared across accelerators (e.g.
-    /// one scratch per cluster worker thread). See [`SimScratch`] for
-    /// the reuse rules.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no feasible mapping exists or a capacity is exceeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tensor dimensions disagree with `shape`.
-    pub fn run_conv_with(
-        &mut self,
-        scratch: &mut SimScratch,
-        shape: &LayerShape,
-        n_batch: usize,
-        input: &Tensor4<Fix16>,
-        weights: &Tensor4<Fix16>,
-        bias: &[Fix16],
-    ) -> Result<LayerRun, SimError> {
         let mapping = match self.mappings.get(&(*shape, n_batch)) {
             Some(&m) => m,
             None => {
@@ -227,39 +202,13 @@ impl Accelerator {
                 m
             }
         };
-        self.run_conv_mapped(scratch, mapping, shape, n_batch, input, weights, bias)
-    }
-
-    /// [`Accelerator::run_conv_mapped`] against the chip's internal
-    /// scratch — the planned-execution path for callers that let the
-    /// accelerator own its buffers.
-    ///
-    /// # Errors
-    ///
-    /// Fails under [`Accelerator::run_conv_mapped`]'s conditions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tensor dimensions disagree with `shape`.
-    pub fn run_conv_planned(
-        &mut self,
-        mapping: RsMapping,
-        shape: &LayerShape,
-        n_batch: usize,
-        input: &Tensor4<Fix16>,
-        weights: &Tensor4<Fix16>,
-        bias: &[Fix16],
-    ) -> Result<LayerRun, SimError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result =
-            self.run_conv_mapped(&mut scratch, mapping, shape, n_batch, input, weights, bias);
-        self.scratch = scratch;
-        result
+        self.run_conv_planned(mapping, shape, n_batch, input, weights, bias)
     }
 
     /// Executes one layer under an explicitly chosen row-stationary
     /// mapping — the planned-execution path: a precompiled plan's
     /// winning candidate runs directly, with no repeat mapping search.
+    /// Buffers are reused as in [`Accelerator::run_conv`].
     ///
     /// Counts come from the pass walk, values from the layer kernel (see
     /// the [module docs](self)). The walk depends only on the per-group
@@ -278,10 +227,8 @@ impl Accelerator {
     /// # Panics
     ///
     /// Panics if tensor dimensions disagree with `shape`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_conv_mapped(
+    pub fn run_conv_planned(
         &mut self,
-        scratch: &mut SimScratch,
         mapping: RsMapping,
         shape: &LayerShape,
         n_batch: usize,
@@ -312,7 +259,15 @@ impl Accelerator {
 
         let _layer_span = self.tele.span_with("sim.layer", "sim", n_batch as u64);
         let per_group = shape.per_group();
-        let walk = PassWalk::new(self, &per_group, n_batch, mapping).run()?;
+        let walk = PassWalk::new(
+            &self.config,
+            self.dram,
+            &self.tele,
+            &per_group,
+            n_batch,
+            mapping,
+        )
+        .run()?;
         let mut psums = Tensor4::zeros([n_batch, shape.m, shape.e, shape.e]);
         let mut stats = SimStats::default();
         for g in 0..shape.groups {
@@ -322,7 +277,7 @@ impl Accelerator {
                 chan_base: g * per_group.c,
                 filt_base: g * per_group.m,
             };
-            group.convolve(input, weights, scratch, &mut psums);
+            group.convolve(input, weights, &mut self.scratch, &mut psums);
             let (pe, csc) = group.pe_counts(
                 input,
                 weights,
@@ -336,68 +291,16 @@ impl Accelerator {
             stats,
             mapping,
         };
-        Ok(self.finish(scratch, run, input, weights, bias))
-    }
-
-    /// The layer-level tail of a run: adds the bias and prices the
-    /// tensors the chip stores compressed.
-    fn finish(
-        &self,
-        scratch: &mut SimScratch,
-        mut run: LayerRun,
-        input: &Tensor4<Fix16>,
-        weights: &Tensor4<Fix16>,
-        bias: &[Fix16],
-    ) -> LayerRun {
-        // Bias is added once per ofmap value; the paper's accounting
-        // ignores its (negligible) movement energy.
-        let [n_batch, _, e, _] = run.psums.dims();
-        for z in 0..n_batch {
-            for (f, bf) in bias.iter().enumerate() {
-                let b = bf.to_accum();
-                for x in 0..e {
-                    for p in run.psums.row_mut(z, f, x) {
-                        *p = p.wrapping_add(b);
-                    }
-                }
-            }
-        }
-        if self.rlc_enabled || self.csc_enabled {
-            // Tensors the chip stores compressed are priced at their
-            // measured ratio. CSC supersedes RLC for ifmaps and covers
-            // filters too (the v2 storage layout keeps both encoded end
-            // to end); its ratio can dip below 1.0 on dense data — the
-            // count/address vectors are overhead, and the model charges
-            // it. Psums are never CSC-encoded, so their write stream
-            // only benefits from RLC.
-            let (in_ratio, filt_ratio) = if self.csc_enabled {
-                (
-                    csc::tensor_stats(input).compression_ratio(),
-                    csc::tensor_stats(weights).compression_ratio(),
-                )
-            } else {
-                let in_len = rlc::encode_into(input.as_slice(), &mut scratch.rlc_words);
-                (rlc::ratio_of(in_len, &scratch.rlc_words), 1.0)
-            };
-            let out_ratio = if self.rlc_enabled {
-                // The ofmap ratio streams the quantization — no
-                // materialized ofmap tensor, identical arithmetic to
-                // `reference::quantize(&psums, true)`.
-                let out_len = rlc::encode_stream(
-                    run.psums.iter().map(|&p| Fix16::from_accum(p).relu()),
-                    &mut scratch.rlc_words,
-                );
-                rlc::ratio_of(out_len, &scratch.rlc_words)
-            } else {
-                1.0
-            };
-            let profile = &run.stats.profile;
-            let compressed = profile.ifmap.dram_reads / in_ratio
-                + profile.filter.dram_reads / filt_ratio
-                + profile.psum.dram_writes / out_ratio;
-            run.stats.dram_compressed_words = Some(compressed.round() as u64);
-        }
-        run
+        let words = &mut self.scratch.rlc_words;
+        Ok(finish(
+            self.rlc_enabled,
+            self.csc_enabled,
+            words,
+            run,
+            input,
+            weights,
+            bias,
+        ))
     }
 
     /// Runs a POOL layer by swapping the MAC for a MAX comparison
@@ -430,6 +333,69 @@ impl Accelerator {
     }
 }
 
+/// The layer-level tail of a run: adds the bias and prices the tensors
+/// the chip stores compressed, encoding RLC streams into the reused
+/// `words`.
+fn finish(
+    rlc_enabled: bool,
+    csc_enabled: bool,
+    words: &mut Vec<u64>,
+    mut run: LayerRun,
+    input: &Tensor4<Fix16>,
+    weights: &Tensor4<Fix16>,
+    bias: &[Fix16],
+) -> LayerRun {
+    // Bias is added once per ofmap value; the paper's accounting
+    // ignores its (negligible) movement energy.
+    let [n_batch, _, e, _] = run.psums.dims();
+    for z in 0..n_batch {
+        for (f, bf) in bias.iter().enumerate() {
+            let b = bf.to_accum();
+            for x in 0..e {
+                for p in run.psums.row_mut(z, f, x) {
+                    *p = p.wrapping_add(b);
+                }
+            }
+        }
+    }
+    if rlc_enabled || csc_enabled {
+        // Tensors the chip stores compressed are priced at their
+        // measured ratio. CSC supersedes RLC for ifmaps and covers
+        // filters too (the v2 storage layout keeps both encoded end
+        // to end); its ratio can dip below 1.0 on dense data — the
+        // count/address vectors are overhead, and the model charges
+        // it. Psums are never CSC-encoded, so their write stream
+        // only benefits from RLC.
+        let (in_ratio, filt_ratio) = if csc_enabled {
+            (
+                csc::tensor_stats(input).compression_ratio(),
+                csc::tensor_stats(weights).compression_ratio(),
+            )
+        } else {
+            let in_len = rlc::encode_stream(input.iter().copied(), words);
+            (rlc::ratio_of(in_len, words), 1.0)
+        };
+        let out_ratio = if rlc_enabled {
+            // The ofmap ratio streams the quantization — no
+            // materialized ofmap tensor, identical arithmetic to
+            // `reference::quantize(&psums, true)`.
+            let out_len = rlc::encode_stream(
+                run.psums.iter().map(|&p| Fix16::from_accum(p).relu()),
+                words,
+            );
+            rlc::ratio_of(out_len, words)
+        } else {
+            1.0
+        };
+        let profile = &run.stats.profile;
+        let compressed = profile.ifmap.dram_reads / in_ratio
+            + profile.filter.dram_reads / filt_ratio
+            + profile.psum.dram_writes / out_ratio;
+        run.stats.dram_compressed_words = Some(compressed.round() as u64);
+    }
+    run
+}
+
 /// The pass walk of one group: every processing pass of the mapping's
 /// folding schedule, in the chip's loop order, with each pass's access
 /// counts in closed form. It reads no tensor, so every group of a layer
@@ -455,7 +421,9 @@ struct PassWalk<'a> {
 
 impl<'a> PassWalk<'a> {
     fn new(
-        acc: &'a Accelerator,
+        config: &AcceleratorConfig,
+        dram: DramModel,
+        tele: &'a Telemetry,
         shape: &'a LayerShape,
         n_batch: usize,
         mapping: RsMapping,
@@ -465,10 +433,10 @@ impl<'a> PassWalk<'a> {
             n_batch,
             mapping,
             folds: mapping.fold_counts(shape, n_batch),
-            rf_words: acc.config.rf_words_per_pe(),
-            dram: acc.dram,
-            tele: &acc.tele,
-            glb: GlobalBuffer::new(acc.config.buffer_words()),
+            rf_words: config.rf_words_per_pe(),
+            dram,
+            tele,
+            glb: GlobalBuffer::new(config.buffer_words()),
             stats: SimStats::default(),
             filter_noc: NocStats::default(),
             ifmap_noc: NocStats::default(),
@@ -1181,7 +1149,7 @@ mod tests {
         weights: &Tensor4<Fix16>,
         bias: &[Fix16],
     ) {
-        let want = oracle::run_conv_mapped(acc, mapping, shape, n, input, weights, bias);
+        let want = oracle::run_conv_planned(acc, mapping, shape, n, input, weights, bias);
         let got = acc.run_conv_planned(mapping, shape, n, input, weights, bias);
         match (got, want) {
             (Ok(got), Ok(want)) => {

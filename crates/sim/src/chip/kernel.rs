@@ -475,7 +475,7 @@ mod tests {
     ) -> Tensor4<i32> {
         let per_group = shape.per_group();
         let mut out = Tensor4::zeros([n, shape.m, shape.e, shape.e]);
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::default();
         for g in 0..shape.groups {
             let group = GroupSlice {
                 shape: &per_group,

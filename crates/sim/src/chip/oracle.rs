@@ -5,7 +5,7 @@
 //! every multicast, chain hop and buffer access is recorded one row at a
 //! time.
 
-use super::{Accelerator, LayerRun};
+use super::{finish, Accelerator, LayerRun};
 use crate::csc::{self, CscStats};
 use crate::dram::DramModel;
 use crate::error::SimError;
@@ -14,13 +14,12 @@ use crate::mesh::{HierarchicalMesh, MeshStats};
 use crate::noc::NocStats;
 use crate::passes::RsMapping;
 use crate::pe::{FilterRows, Pe, PeStats};
-use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 use eyeriss_nn::{Fix16, LayerShape, Tensor4};
 
-/// [`Accelerator::run_conv_mapped`] as the PE-driven pass computes it:
+/// [`Accelerator::run_conv_planned`] as the PE-driven pass computes it:
 /// one engine per group, no feasibility screen.
-pub(crate) fn run_conv_mapped(
+pub(crate) fn run_conv_planned(
     acc: &Accelerator,
     mapping: RsMapping,
     shape: &LayerShape,
@@ -52,7 +51,16 @@ pub(crate) fn run_conv_mapped(
         stats,
         mapping,
     };
-    Ok(acc.finish(&mut SimScratch::new(), run, input, weights, bias))
+    let words = &mut Vec::new();
+    Ok(finish(
+        acc.rlc_enabled,
+        acc.csc_enabled,
+        words,
+        run,
+        input,
+        weights,
+        bias,
+    ))
 }
 
 struct Engine<'a> {

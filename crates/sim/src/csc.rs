@@ -1,16 +1,16 @@
 //! Compressed sparse column (CSC) encoding for PE-local sparse execution.
 //!
 //! Eyeriss v1 exploits sparsity twice — zero-gating the datapath
-//! (Section V-E) and run-length compressing DRAM traffic ([`crate::rlc`])
-//! — but every zero still occupies a scratchpad slot and a datapath
+//! (Section V-E) and run-length compressing DRAM traffic — but every
+//! zero still occupies a scratchpad slot and a datapath
 //! cycle's worth of inspection. Eyeriss v2 goes further: activations and
 //! weights are *stored* compressed (a data vector plus a count/address
 //! vector, its CSC format) and the PE iterates nonzeros directly, so zero
 //! MACs are never even issued. This module provides the row codec and the
 //! storage accounting; the PE-side iteration lives in
 //! [`Pe::run_primitive_csc`](crate::pe::Pe::run_primitive_csc). A CSC chip
-//! run needs only each row's nonzero count ([`row_nnz`]): its psums equal
-//! the dense kernel's, and its counters are closed forms of the count.
+//! run needs only each row's nonzero count: its psums equal the dense
+//! kernel's, and its counters are closed forms of the count.
 //!
 //! The encoder writes into caller-owned buffers, so a caller that reuses
 //! them encodes allocation-free, exactly like the RLC codec it sits
@@ -19,14 +19,14 @@
 use eyeriss_nn::{Fix16, Tensor4};
 
 /// Nonzero count of `row`.
-pub fn row_nnz(row: &[Fix16]) -> usize {
+pub(crate) fn row_nnz(row: &[Fix16]) -> usize {
     row.iter().filter(|v| !v.is_zero()).count()
 }
 
 /// CSC storage accounting over every innermost row of `t` — the
 /// granularity the PE consumes (one CSC vector per `(i0, i1, i2)` row).
 /// Used to price DRAM traffic for tensors the chip stores compressed.
-pub fn tensor_stats(t: &Tensor4<Fix16>) -> CscStats {
+pub(crate) fn tensor_stats(t: &Tensor4<Fix16>) -> CscStats {
     let [d0, d1, d2, _] = t.dims();
     let mut cs = CscStats::default();
     for i0 in 0..d0 {
@@ -66,12 +66,35 @@ pub fn encode_row_into(row: &[Fix16], values: &mut Vec<Fix16>, indices: &mut Vec
 /// 16-bit words a CSC-encoded row occupies: one data word per nonzero,
 /// 4-bit position counts packed four to a word, and one address word
 /// anchoring the row in the combined vector (the v2 storage layout).
-pub fn storage_words(nnz: usize) -> usize {
+pub(crate) fn storage_words(nnz: usize) -> usize {
     nnz + nnz.div_ceil(4) + 1
 }
 
 /// Storage accounting of one layer's tensors under CSC: dense words vs.
-/// encoded words, for the ifmap and filter data a run touched.
+/// encoded words, for the ifmap and filter data a run touched. A chip
+/// run with [`Accelerator::csc`](crate::Accelerator::csc) on reports it
+/// as [`SimStats::csc`](crate::SimStats::csc).
+///
+/// # Example
+///
+/// ```
+/// use eyeriss_arch::AcceleratorConfig;
+/// use eyeriss_nn::{synth, LayerShape};
+/// use eyeriss_sim::Accelerator;
+///
+/// let shape = LayerShape::conv(4, 3, 12, 3, 1)?;
+/// let input = synth::sparse_ifmap(&shape, 1, 5, 0.7);
+/// let (weights, bias) = (synth::filters(&shape, 6), synth::biases(&shape, 7));
+/// let mut chip = Accelerator::new(AcceleratorConfig::eyeriss_chip()).csc(true);
+/// let run = chip.run_conv(&shape, 1, &input, &weights, &bias)?;
+/// let csc = run.stats.csc.expect("a CSC chip accounts its storage");
+/// // Every ifmap and filter word of the run, dense and encoded.
+/// let dense = input.len() + weights.len();
+/// assert_eq!(csc.dense_words, dense as u64);
+/// assert_eq!(csc.compression_ratio(), dense as f64 / csc.sparse_words as f64);
+/// assert!(csc.compression_ratio() > 1.0); // a 70 %-zero ifmap pays off
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CscStats {
     /// Dense storage of the encoded tensors, in 16-bit words.
@@ -82,13 +105,13 @@ pub struct CscStats {
 
 impl CscStats {
     /// Adds one row of `len` dense words with `nnz` nonzeros.
-    pub fn add_row(&mut self, len: usize, nnz: usize) {
+    pub(crate) fn add_row(&mut self, len: usize, nnz: usize) {
         self.dense_words += len as u64;
         self.sparse_words += storage_words(nnz) as u64;
     }
 
     /// Merges another accounting into this one.
-    pub fn merge(&mut self, other: &CscStats) {
+    pub(crate) fn merge(&mut self, other: &CscStats) {
         self.dense_words += other.dense_words;
         self.sparse_words += other.sparse_words;
     }

@@ -8,19 +8,10 @@
 //! pass's compute (double buffering), and only the excess — transfer
 //! cycles beyond compute cycles — stalls the array.
 
-/// A bandwidth-limited DRAM channel.
-///
-/// # Example
-///
-/// ```
-/// use eyeriss_sim::dram::DramModel;
-///
-/// let dram = DramModel::new(4.0);
-/// assert_eq!(dram.transfer_cycles(16), 4);
-/// assert_eq!(dram.transfer_cycles(17), 5); // partial beats round up
-/// ```
+/// A bandwidth-limited DRAM channel: a pass's transfers take
+/// `ceil(words / words_per_cycle)` cycles, partial beats rounding up.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramModel {
+pub(crate) struct DramModel {
     words_per_cycle: f64,
 }
 
@@ -31,7 +22,7 @@ impl DramModel {
     /// # Panics
     ///
     /// Panics if the bandwidth is not positive.
-    pub fn new(words_per_cycle: f64) -> Self {
+    pub(crate) fn new(words_per_cycle: f64) -> Self {
         assert!(
             words_per_cycle > 0.0 && words_per_cycle.is_finite(),
             "bandwidth must be positive"
@@ -41,23 +32,18 @@ impl DramModel {
 
     /// The fabricated chip's ballpark: a 64-bit DDR interface at the
     /// 200 MHz core clock (4 words/cycle).
-    pub fn eyeriss_chip() -> Self {
+    pub(crate) fn eyeriss_chip() -> Self {
         DramModel::new(4.0)
     }
 
-    /// Channel bandwidth in words per cycle.
-    pub fn words_per_cycle(&self) -> f64 {
-        self.words_per_cycle
-    }
-
     /// Cycles to move `words` (rounded up).
-    pub fn transfer_cycles(&self, words: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, words: u64) -> u64 {
         (words as f64 / self.words_per_cycle).ceil() as u64
     }
 
     /// Stall cycles of a pass whose transfers are double-buffered against
     /// `compute_cycles` of array work: only the excess stalls.
-    pub fn stall_cycles(&self, words: u64, compute_cycles: u64) -> u64 {
+    pub(crate) fn stall_cycles(&self, words: u64, compute_cycles: u64) -> u64 {
         self.transfer_cycles(words).saturating_sub(compute_cycles)
     }
 }

@@ -49,23 +49,6 @@ pub enum FaultKind {
     WorkerPanic,
 }
 
-impl FaultKind {
-    /// Stable index for per-kind counters.
-    fn index(self) -> usize {
-        match self {
-            FaultKind::PsumBitFlip => 0,
-            FaultKind::WeightBitFlip => 1,
-            FaultKind::DramCorrupt => 2,
-            FaultKind::Stall => 3,
-            FaultKind::Crash => 4,
-            FaultKind::WorkerPanic => 5,
-        }
-    }
-
-    /// Number of distinct kinds (size of per-kind counter arrays).
-    const COUNT: usize = 6;
-}
-
 /// When a spec fires, in scope-local run indices (run 0 is the scope's
 /// first execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,12 +118,6 @@ impl FaultSpec {
         self.target = Some(id);
         self
     }
-
-    /// Overrides the firing window.
-    pub fn window(mut self, window: FaultWindow) -> FaultSpec {
-        self.window = window;
-        self
-    }
 }
 
 /// A reproducible fault schedule: a seed (which element/bit each flip
@@ -199,13 +176,6 @@ pub struct ArrayInjection {
     pub corruptions: Vec<Corruption>,
 }
 
-impl ArrayInjection {
-    /// True when nothing fires this run.
-    pub fn is_clean(&self) -> bool {
-        !self.crash && !self.stall && self.corruptions.is_empty()
-    }
-}
-
 #[derive(Debug, Default)]
 struct InjectorState {
     /// Per-array run counters (array faults).
@@ -219,7 +189,6 @@ struct InjectorInner {
     plan: FaultPlan,
     state: Mutex<InjectorState>,
     injected_total: AtomicU64,
-    injected_by_kind: [AtomicU64; FaultKind::COUNT],
     /// Mirrored `sim.faults_injected` counter, when telemetry is
     /// attached.
     tele: Option<eyeriss_telemetry::Counter>,
@@ -250,7 +219,6 @@ impl FaultInjector {
                 plan,
                 state: Mutex::new(InjectorState::default()),
                 injected_total: AtomicU64::new(0),
-                injected_by_kind: Default::default(),
                 tele: None,
             }),
         }
@@ -265,14 +233,8 @@ impl FaultInjector {
         self
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.inner.plan
-    }
-
-    fn count(&self, kind: FaultKind) {
+    fn count(&self) {
         self.inner.injected_total.fetch_add(1, Ordering::Relaxed);
-        self.inner.injected_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
         if let Some(c) = &self.inner.tele {
             c.inc();
         }
@@ -281,11 +243,6 @@ impl FaultInjector {
     /// Total faults injected so far, across every scope and kind.
     pub fn injected(&self) -> u64 {
         self.inner.injected_total.load(Ordering::Relaxed)
-    }
-
-    /// Faults of `kind` injected so far.
-    pub fn injected_of(&self, kind: FaultKind) -> u64 {
-        self.inner.injected_by_kind[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Advances `array`'s run counter and returns what (if anything) to
@@ -330,7 +287,7 @@ impl FaultInjector {
                 }
                 FaultKind::WorkerPanic => unreachable!("filtered above"),
             }
-            self.count(spec.kind);
+            self.count();
         }
         inj
     }
@@ -355,7 +312,7 @@ impl FaultInjector {
                 && spec.window.fires(run)
         });
         if fires {
-            self.count(FaultKind::WorkerPanic);
+            self.count();
         }
         fires
     }
@@ -392,14 +349,27 @@ mod tests {
             .spec(FaultSpec::from(FaultKind::Crash, 2).target(1));
         let a = FaultInjector::new(plan.clone());
         let b = FaultInjector::new(plan);
-        for _ in 0..4 {
+        for run in 0..4 {
             // Array 0: clean, flip, clean, clean.
-            assert_eq!(a.poll_array(0), b.poll_array(0));
+            let flip = a.poll_array(0);
+            assert_eq!(flip, b.poll_array(0));
+            let kinds: Vec<_> = flip.corruptions.iter().map(|c| c.kind).collect();
+            let want = if run == 1 {
+                vec![FaultKind::PsumBitFlip]
+            } else {
+                vec![]
+            };
+            assert_eq!(kinds, want, "array 0, run {run}");
+            assert!(!flip.crash && !flip.stall);
             // Array 1: clean, clean, crash, crash.
-            assert_eq!(a.poll_array(1), b.poll_array(1));
+            let crash = a.poll_array(1);
+            assert_eq!(crash, b.poll_array(1));
+            let want = ArrayInjection {
+                crash: run >= 2,
+                ..ArrayInjection::default()
+            };
+            assert_eq!(crash, want, "array 1, run {run}");
         }
-        assert_eq!(a.injected_of(FaultKind::PsumBitFlip), 1);
-        assert_eq!(a.injected_of(FaultKind::Crash), 2);
         assert_eq!(a.injected(), 3);
         // Replays agree injection-for-injection, salt included.
         assert_eq!(b.injected(), 3);
@@ -416,8 +386,8 @@ mod tests {
         // Scope feeds the salt: distinct arrays corrupt distinct spots.
         assert_ne!(x.corruptions[0].salt, y.corruptions[0].salt);
         // Each scope's run counter advanced independently past the window.
-        assert!(inj.poll_array(3).is_clean());
-        assert!(inj.poll_array(9).is_clean());
+        assert_eq!(inj.poll_array(3), ArrayInjection::default());
+        assert_eq!(inj.poll_array(9), ArrayInjection::default());
     }
 
     #[test]
@@ -430,9 +400,9 @@ mod tests {
         assert!(inj.poll_worker(0), "run 1 fires");
         assert!(!inj.poll_worker(0));
         // Array polls never see worker specs.
-        assert!(inj.poll_array(0).is_clean());
-        assert!(inj.poll_array(0).is_clean());
-        assert_eq!(inj.injected_of(FaultKind::WorkerPanic), 1);
+        assert_eq!(inj.poll_array(0), ArrayInjection::default());
+        assert_eq!(inj.poll_array(0), ArrayInjection::default());
+        assert_eq!(inj.injected(), 1);
     }
 
     #[test]
@@ -441,7 +411,7 @@ mod tests {
             FaultPlan::new(5).spec(FaultSpec::once(FaultKind::Stall, 1).target(2)),
         );
         let clone = inj.clone();
-        assert!(inj.poll_array(2).is_clean(), "run 0");
+        assert_eq!(inj.poll_array(2), ArrayInjection::default(), "run 0");
         assert!(clone.poll_array(2).stall, "clone sees run 1");
         assert_eq!(inj.injected(), 1);
     }

@@ -10,21 +10,21 @@ use crate::error::SimError;
 
 /// Occupancy and traffic accounting for the global buffer.
 #[derive(Debug, Clone, Default)]
-pub struct GlobalBuffer {
+pub(crate) struct GlobalBuffer {
     capacity_words: usize,
     ifmap_words: usize,
     filter_words: usize,
     psum_words: usize,
     /// Words read out of the buffer.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Words written into the buffer.
-    pub writes: u64,
+    pub(crate) writes: u64,
 }
 
 impl GlobalBuffer {
     /// Creates an empty buffer of `capacity_words` 16-bit words (psum
     /// entries are wider on chip; the paper's accounting is word-based).
-    pub fn new(capacity_words: usize) -> Self {
+    pub(crate) fn new(capacity_words: usize) -> Self {
         GlobalBuffer {
             capacity_words,
             ifmap_words: 0,
@@ -35,23 +35,9 @@ impl GlobalBuffer {
         }
     }
 
-    /// Re-arms a pooled buffer for a fresh run: adopts `capacity_words`
-    /// and zeroes occupancy and traffic counters — equivalent to
-    /// [`GlobalBuffer::new`] without dropping the struct (the buffer
-    /// holds no heap storage, so this exists for the scratch arena's
-    /// uniform reset discipline).
-    pub fn reset(&mut self, capacity_words: usize) {
-        *self = GlobalBuffer::new(capacity_words);
-    }
-
     /// Total words currently resident.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.ifmap_words + self.filter_words + self.psum_words
-    }
-
-    /// Capacity in words.
-    pub fn capacity(&self) -> usize {
-        self.capacity_words
     }
 
     fn check(&self) -> Result<(), SimError> {
@@ -74,7 +60,7 @@ impl GlobalBuffer {
     /// # Errors
     ///
     /// Fails if the new occupancy exceeds capacity.
-    pub fn stage_ifmap(&mut self, words: usize) -> Result<(), SimError> {
+    pub(crate) fn stage_ifmap(&mut self, words: usize) -> Result<(), SimError> {
         self.ifmap_words = words;
         self.writes += words as u64;
         self.check()
@@ -85,7 +71,7 @@ impl GlobalBuffer {
     /// # Errors
     ///
     /// Fails if the new occupancy exceeds capacity.
-    pub fn stage_filters(&mut self, words: usize) -> Result<(), SimError> {
+    pub(crate) fn stage_filters(&mut self, words: usize) -> Result<(), SimError> {
         self.filter_words = words;
         self.writes += words as u64;
         self.check()
@@ -97,23 +83,23 @@ impl GlobalBuffer {
     /// # Errors
     ///
     /// Fails if the new occupancy exceeds capacity.
-    pub fn reserve_psums(&mut self, words: usize) -> Result<(), SimError> {
+    pub(crate) fn reserve_psums(&mut self, words: usize) -> Result<(), SimError> {
         self.psum_words = words;
         self.check()
     }
 
     /// Releases the psum tile.
-    pub fn release_psums(&mut self) {
+    pub(crate) fn release_psums(&mut self) {
         self.psum_words = 0;
     }
 
     /// Counts `n` words read out of the buffer.
-    pub fn read_words(&mut self, n: usize) {
+    pub(crate) fn read_words(&mut self, n: usize) {
         self.reads += n as u64;
     }
 
     /// Counts `n` words written into the buffer.
-    pub fn write_words(&mut self, n: usize) {
+    pub(crate) fn write_words(&mut self, n: usize) {
         self.writes += n as u64;
     }
 }

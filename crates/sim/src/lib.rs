@@ -9,30 +9,27 @@
 //! model (Section VII-A's "verified by our Eyeriss chip measurement
 //! results").
 //!
-//! Components:
+//! Public modules:
 //!
+//! * [`chip`] — the accelerator: CONV/FC layers as a pass walk that counts
+//!   every access in closed form plus a layer kernel that computes the
+//!   psums, and POOL layers. The [`Accelerator`] owns every buffer a run
+//!   needs and reuses it across layers and runs.
 //! * [`pe`] — a processing engine with filter/ifmap/psum scratchpads,
 //!   1-D convolution primitives (Fig. 5) and zero-gating (Section V-E).
-//! * [`noc`] — the three NoCs: horizontal filter multicast, diagonal ifmap
-//!   multicast and the vertical psum accumulation chain (Fig. 6).
-//! * [`gbuf`] — the capacity-checked global buffer with per-type regions.
-//! * [`rlc`] — the run-length compression codec used on DRAM transfers.
+//! * [`passes`] — the two-phase mapping: logical PE sets folded into
+//!   processing passes (Section V-B), derived from the same mapping
+//!   optimizer the analysis framework uses.
 //! * [`csc`] — the compressed-sparse-column codec and storage accounting
 //!   behind opt-in sparse PE execution (the Eyeriss v2 format).
 //! * [`mesh`] — the hierarchical-mesh NoC model (Eyeriss v2): router
 //!   clusters with unicast/multicast/broadcast delivery modes.
-//! * [`passes`] — the two-phase mapping: logical PE sets folded into
-//!   processing passes (Section V-B), derived from the same mapping
-//!   optimizer the analysis framework uses.
-//! * [`chip`] — the accelerator: CONV/FC layers as a pass walk that counts
-//!   every access in closed form plus a layer kernel that computes the
-//!   psums, and POOL layers.
+//! * [`runner`] — whole-network execution, stage by stage.
 //! * [`fault`] — deterministic, seeded fault injection (bit flips, stalls,
 //!   crashes) for chaos testing the cluster and serving layers.
-//! * [`scratch`] — the reusable simulation arena: the psum strip and RLC
-//!   buffers recycled across layers and runs so the steady-state execute
-//!   path is allocation-free.
-//! * [`stats`] — measured access counts, cycles and sparsity statistics.
+//!
+//! A run's measured access counts, cycles and sparsity statistics are a
+//! [`SimStats`]; a layer that cannot run is a [`SimError`].
 //!
 //! # Example
 //!
@@ -55,21 +52,20 @@
 
 pub mod chip;
 pub mod csc;
-pub mod dram;
-pub mod error;
+mod dram;
+mod error;
 pub mod fault;
-pub mod gbuf;
+mod gbuf;
 pub mod mesh;
-pub mod noc;
+mod noc;
 pub mod passes;
 pub mod pe;
-pub mod rlc;
+mod rlc;
 pub mod runner;
-pub mod scratch;
-pub mod stats;
+mod scratch;
+mod stats;
 
 pub use chip::Accelerator;
 pub use error::SimError;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow};
-pub use scratch::SimScratch;
 pub use stats::SimStats;

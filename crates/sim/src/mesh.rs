@@ -1,5 +1,5 @@
-//! The hierarchical-mesh NoC of Eyeriss v2, alongside the v1 buses of
-//! [`crate::noc`].
+//! The hierarchical-mesh NoC of Eyeriss v2, alongside the v1 buses the
+//! chip counts its array traffic on.
 //!
 //! Eyeriss v1 moves every word over global multicast buses and a psum
 //! chain; all array-level deliveries cost one hop. Eyeriss v2 instead

@@ -12,11 +12,11 @@
 
 /// Counters for one network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NocStats {
+pub(crate) struct NocStats {
     /// Multicast/chain transactions issued.
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Word deliveries summed over receiving PEs (the array-hop count).
-    pub word_hops: u64,
+    pub(crate) word_hops: u64,
 }
 
 impl NocStats {
@@ -27,7 +27,7 @@ impl NocStats {
     ///
     /// Panics if some multicast would have no receiver (`receivers <
     /// transactions`) — the mapping should never multicast into the void.
-    pub fn multicast(&mut self, transactions: usize, words: usize, receivers: usize) {
+    pub(crate) fn multicast(&mut self, transactions: usize, words: usize, receivers: usize) {
         assert!(
             receivers >= transactions,
             "multicast needs at least one receiver"
@@ -42,7 +42,7 @@ impl NocStats {
     /// # Panics
     ///
     /// Panics if the chain is empty.
-    pub fn accumulate(&mut self, transactions: usize, words: usize, length: usize) {
+    pub(crate) fn accumulate(&mut self, transactions: usize, words: usize, length: usize) {
         assert!(length > 0, "psum chain must contain at least one PE");
         self.transactions += transactions as u64;
         self.word_hops += (transactions * words * (length - 1)) as u64;

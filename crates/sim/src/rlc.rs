@@ -14,65 +14,14 @@
 use eyeriss_nn::Fix16;
 
 /// Maximum zero-run length per pair (5-bit field).
-pub const MAX_RUN: usize = 31;
+const MAX_RUN: usize = 31;
 
-/// An RLC-compressed buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Compressed {
-    /// Packed 64-bit code words.
-    pub words: Vec<u64>,
-    /// Number of original 16-bit values.
-    pub original_len: usize,
-}
-
-impl Compressed {
-    /// Compression ratio: original bits / compressed bits (>1 is smaller).
-    pub fn ratio(&self) -> f64 {
-        ratio_of(self.original_len, &self.words)
-    }
-
-    /// Size of the compressed stream in 16-bit DRAM words.
-    pub fn dram_words(&self) -> usize {
-        self.words.len() * 4
-    }
-}
-
-/// Encodes a slice of Q8.8 values.
-///
-/// # Example
-///
-/// ```
-/// use eyeriss_sim::rlc;
-/// use eyeriss_nn::Fix16;
-///
-/// let mut data = vec![Fix16::ZERO; 100];
-/// data[50] = Fix16::ONE;
-/// let packed = rlc::encode(&data);
-/// assert_eq!(rlc::decode(&packed), data);
-/// assert!(packed.ratio() > 3.0); // mostly zeros compress well
-/// ```
-pub fn encode(values: &[Fix16]) -> Compressed {
-    let mut words = Vec::new();
-    let original_len = encode_stream(values.iter().copied(), &mut words);
-    Compressed {
-        words,
-        original_len,
-    }
-}
-
-/// [`encode`] into a caller-owned word buffer (cleared first), so hot
-/// paths that compress one strip after another reuse a single allocation
-/// — the scratch-buffer entry point used by the simulator's
-/// [`crate::SimScratch`]. Returns the number of values consumed (the
-/// stream's `original_len`).
-pub fn encode_into(values: &[Fix16], words: &mut Vec<u64>) -> usize {
-    encode_stream(values.iter().copied(), words)
-}
-
-/// Streaming core of the encoder: packs `(run, level)` pairs into
+/// Encodes a stream of Q8.8 values: packs `(run, level)` pairs into
 /// `words` as values arrive, with no intermediate pair buffer. `words`
-/// is cleared first and always ends holding at least the flag word.
-pub fn encode_stream(values: impl Iterator<Item = Fix16>, words: &mut Vec<u64>) -> usize {
+/// is cleared first (so a caller that reuses it compresses one stream
+/// after another in a single allocation) and always ends holding at
+/// least the flag word. Returns the number of values consumed.
+pub(crate) fn encode_stream(values: impl Iterator<Item = Fix16>, words: &mut Vec<u64>) -> usize {
     words.clear();
     let mut cur: u64 = 0;
     let mut pair_i = 0usize;
@@ -112,66 +61,77 @@ pub fn encode_stream(values: impl Iterator<Item = Fix16>, words: &mut Vec<u64>) 
     len
 }
 
-/// Compression ratio of a packed stream without wrapping it in a
-/// [`Compressed`]: original bits / compressed bits, 1.0 for an empty
-/// word buffer.
-pub fn ratio_of(original_len: usize, words: &[u64]) -> f64 {
+/// Compression ratio of a packed stream: original bits / compressed
+/// bits, 1.0 for an empty word buffer.
+pub(crate) fn ratio_of(original_len: usize, words: &[u64]) -> f64 {
     if words.is_empty() {
         return 1.0;
     }
     (original_len as f64 * 16.0) / (words.len() as f64 * 64.0)
 }
 
-/// Decodes an RLC stream back to the original values.
-///
-/// # Panics
-///
-/// Panics if the stream is malformed (decodes past `original_len` plus a
-/// trailing run, or the final flag is missing).
-pub fn decode(c: &Compressed) -> Vec<Fix16> {
-    let mut out = Vec::with_capacity(c.original_len);
-    decode_into(c, &mut out);
-    out
-}
-
-/// [`decode`] into a caller-owned buffer (cleared first), reusing its
-/// allocation across strips.
-///
-/// # Panics
-///
-/// Panics if the stream is malformed, as [`decode`].
-pub fn decode_into(c: &Compressed, out: &mut Vec<Fix16>) {
-    out.clear();
-    out.reserve(c.original_len);
-    for (wi, w) in c.words.iter().enumerate() {
-        let is_last = wi + 1 == c.words.len();
-        assert_eq!(w & 1 == 1, is_last, "final-word flag misplaced");
-        for i in 0..3 {
-            if out.len() >= c.original_len {
-                break;
-            }
-            let shift = 1 + i * 21;
-            let run = ((w >> shift) & 0x1f) as usize;
-            let level = ((w >> (shift + 5)) & 0xffff) as u16;
-            for _ in 0..run {
-                out.push(Fix16::ZERO);
-            }
-            if out.len() < c.original_len {
-                out.push(Fix16::from_raw(level as i16));
-            }
-        }
-    }
-    // A final zero run may be encoded implicitly.
-    while out.len() < c.original_len {
-        out.push(Fix16::ZERO);
-    }
-    assert_eq!(out.len(), c.original_len, "malformed RLC stream");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A packed stream and the number of values it encodes.
+    #[derive(Debug)]
+    struct Compressed {
+        words: Vec<u64>,
+        original_len: usize,
+    }
+
+    impl Compressed {
+        fn ratio(&self) -> f64 {
+            ratio_of(self.original_len, &self.words)
+        }
+    }
+
+    fn encode(values: &[Fix16]) -> Compressed {
+        let mut words = Vec::new();
+        let original_len = encode_stream(values.iter().copied(), &mut words);
+        Compressed {
+            words,
+            original_len,
+        }
+    }
+
+    /// The decoder, kept as the oracle that the encoder's words describe
+    /// its input losslessly (so the word count the chip prices is the
+    /// size of a real encoding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is malformed (decodes past `original_len`
+    /// plus a trailing run, or the final flag is missing).
+    fn decode(c: &Compressed) -> Vec<Fix16> {
+        let mut out = Vec::with_capacity(c.original_len);
+        for (wi, w) in c.words.iter().enumerate() {
+            let is_last = wi + 1 == c.words.len();
+            assert_eq!(w & 1 == 1, is_last, "final-word flag misplaced");
+            for i in 0..3 {
+                if out.len() >= c.original_len {
+                    break;
+                }
+                let shift = 1 + i * 21;
+                let run = ((w >> shift) & 0x1f) as usize;
+                let level = ((w >> (shift + 5)) & 0xffff) as u16;
+                for _ in 0..run {
+                    out.push(Fix16::ZERO);
+                }
+                if out.len() < c.original_len {
+                    out.push(Fix16::from_raw(level as i16));
+                }
+            }
+        }
+        // A final zero run may be encoded implicitly.
+        while out.len() < c.original_len {
+            out.push(Fix16::ZERO);
+        }
+        assert_eq!(out.len(), c.original_len, "malformed RLC stream");
+        out
+    }
 
     #[test]
     fn roundtrip_simple() {
@@ -261,43 +221,44 @@ mod tests {
 
     #[test]
     fn scratch_entry_points_match_the_owning_api() {
+        // One word buffer reused across streams of every length, longest
+        // first: each encoding equals a fresh buffer's and roundtrips.
         let mut words = Vec::new();
-        let mut decoded = Vec::new();
         for data in [
-            vec![],
-            vec![Fix16::ZERO; 40],
             (1..=100).map(Fix16::from_raw).collect::<Vec<_>>(),
+            vec![Fix16::ZERO; 40],
             [0i16, 0, 5, 0, -3, 7, 0, 0]
                 .iter()
                 .map(|&r| Fix16::from_raw(r))
                 .collect(),
+            vec![],
         ] {
             let owned = encode(&data);
-            // Reused buffers: same words, same ratio, same roundtrip.
-            let len = encode_into(&data, &mut words);
+            let len = encode_stream(data.iter().copied(), &mut words);
             assert_eq!(len, data.len());
             assert_eq!(words, owned.words);
             assert_eq!(ratio_of(len, &words), owned.ratio());
-            decode_into(&owned, &mut decoded);
-            assert_eq!(decoded, data);
+            assert_eq!(decode(&owned), data);
         }
     }
 
     #[test]
     fn streaming_encoder_accepts_iterators() {
-        let data: Vec<Fix16> = (0..50)
-            .map(|i| {
-                if i % 7 == 0 {
-                    Fix16::from_raw(i)
-                } else {
-                    Fix16::ZERO
-                }
-            })
-            .collect();
+        // A generated stream, never materialized (as the chip streams its
+        // quantized ofmap), encodes like the same values in a slice.
+        let value = |i: i16| {
+            if i % 7 == 0 {
+                Fix16::from_raw(i)
+            } else {
+                Fix16::ZERO
+            }
+        };
+        let data: Vec<Fix16> = (0..50).map(value).collect();
         let mut words = Vec::new();
-        let len = encode_stream(data.iter().copied(), &mut words);
+        let len = encode_stream((0..50).map(value), &mut words);
         assert_eq!(len, data.len());
         assert_eq!(words, encode(&data).words);
+        assert_eq!(decode(&encode(&data)), data);
     }
 
     #[test]
@@ -307,8 +268,8 @@ mod tests {
         assert_eq!(decode(&c), Vec::<Fix16>::new());
         // The flag word still exists; ratio stays consistent with the
         // definition (0 original bits / 64 compressed bits = 0).
-        assert_eq!(c.dram_words(), c.words.len() * 4);
-        assert!(c.ratio() >= 0.0);
+        assert_eq!(c.words.len(), 1);
+        assert_eq!(c.ratio(), 0.0);
     }
 
     proptest! {
@@ -334,7 +295,6 @@ mod tests {
                 (c.original_len as f64 * 16.0) / (c.words.len() as f64 * 64.0)
             };
             prop_assert!((c.ratio() - expect).abs() < 1e-12);
-            prop_assert_eq!(c.dram_words(), c.words.len() * 4);
         }
 
         #[test]

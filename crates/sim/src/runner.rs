@@ -55,6 +55,33 @@ impl NetworkRun {
 
 /// Runs `net` on `chip` for a batch of `n` images.
 ///
+/// # Example
+///
+/// ```
+/// use eyeriss_arch::{AcceleratorConfig, TableIv};
+/// use eyeriss_nn::{network::NetworkBuilder, synth};
+/// use eyeriss_sim::{runner, Accelerator};
+///
+/// let net = NetworkBuilder::new(3, 19)
+///     .conv("C1", 8, 3, 2)?
+///     .pool("P1", 3, 2)?
+///     .fully_connected("FC", 10)?
+///     .build(31);
+/// let input = synth::ifmap(&net.stages()[0].shape, 2, 55);
+/// let mut chip = Accelerator::new(AcceleratorConfig::eyeriss_chip());
+/// let run = runner::run_network(&mut chip, &net, 2, &input)?;
+/// assert_eq!(run.output, net.forward(2, &input)); // bit-exact
+/// // The totals are the stages' sums.
+/// let stats = || run.stages.iter().map(|s| &s.stats);
+/// let cycles: u64 = stats().map(|s| s.total_cycles()).sum();
+/// let energy: f64 = stats().map(|s| s.energy(&TableIv)).sum();
+/// let priced: f64 = stats().map(|s| s.cost_report(&TableIv).total_energy).sum();
+/// assert_eq!(run.total_cycles(), cycles);
+/// assert_eq!(run.total_energy(&TableIv), energy);
+/// assert_eq!(run.cost_report(&TableIv).total_energy, priced);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
 /// # Errors
 ///
 /// Fails if any weighted stage has no feasible mapping.

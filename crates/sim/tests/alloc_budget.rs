@@ -1,9 +1,12 @@
 //! Allocation budget of a warm layer run: once a chip has run a layer,
 //! running it again allocates exactly once — the returned psums — on
-//! every datapath and every layer kind.
+//! every datapath and every layer kind, through both entry points: the
+//! searching `run_conv` and the planned `run_conv_planned` that a
+//! cluster executes precompiled plans with.
 
 use eyeriss_arch::AcceleratorConfig;
 use eyeriss_nn::{synth, LayerShape};
+use eyeriss_sim::passes::RsMapping;
 use eyeriss_sim::Accelerator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,32 +52,46 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn a_warm_run_conv_allocates_only_its_psums() {
+    let config = AcceleratorConfig::eyeriss_chip();
     let layers = [
         ("conv", LayerShape::conv(6, 4, 15, 3, 2).unwrap()),
         ("depthwise", LayerShape::depthwise(8, 13, 3, 1).unwrap()),
         ("fc", LayerShape::fully_connected(10, 16, 4).unwrap()),
     ];
-    let chip = || Accelerator::new(AcceleratorConfig::eyeriss_chip());
+    let chip = || Accelerator::new(config);
     for (kind, shape) in layers {
         let n = 2;
         let input = synth::sparse_ifmap(&shape, n, 1, 0.5);
         let weights = synth::filters(&shape, 2);
         let bias = synth::biases(&shape, 3);
-        let modes = [
-            ("plain", chip()),
-            ("gated", chip().zero_gating(true)),
-            ("csc", chip().csc(true)),
-            ("rlc", chip().rlc(true)),
-        ];
-        for (mode, mut acc) in modes {
-            let mut run = || acc.run_conv(&shape, n, &input, &weights, &bias).unwrap();
-            // The cold run searches the mapping and grows the scratch.
-            let cold = run();
-            let before = ALLOCATIONS.with(Cell::get);
-            let warm = run();
-            let allocations = ALLOCATIONS.with(Cell::get) - before;
-            assert_eq!(allocations, 1, "{kind}/{mode}");
-            assert_eq!(warm.psums, cold.psums, "{kind}/{mode}");
+        // Compiled before any measured run, as a cluster compiles its
+        // plans before executing them.
+        let mapping = RsMapping::plan(&shape, n, &config).unwrap();
+        for planned in [false, true] {
+            let modes = [
+                ("plain", chip()),
+                ("gated", chip().zero_gating(true)),
+                ("csc", chip().csc(true)),
+                ("rlc", chip().rlc(true)),
+            ];
+            for (mode, mut acc) in modes {
+                let mut run = || {
+                    if planned {
+                        acc.run_conv_planned(mapping, &shape, n, &input, &weights, &bias)
+                    } else {
+                        acc.run_conv(&shape, n, &input, &weights, &bias)
+                    }
+                    .unwrap()
+                };
+                // The cold run grows the chip's buffers (and searches
+                // the mapping, unless it is planned).
+                let cold = run();
+                let before = ALLOCATIONS.with(Cell::get);
+                let warm = run();
+                let allocations = ALLOCATIONS.with(Cell::get) - before;
+                assert_eq!(allocations, 1, "{kind}/{mode}, planned: {planned}");
+                assert_eq!(warm.psums, cold.psums, "{kind}/{mode}, planned: {planned}");
+            }
         }
     }
 }

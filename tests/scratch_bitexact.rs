@@ -1,9 +1,9 @@
 //! Scratch-reuse bit-exactness: the allocation-free execution core must
 //! be invisible in the results.
 //!
-//! The simulator reuses its psum strip and RLC buffers across layers and
-//! runs ([`eyeriss_sim::SimScratch`]), memoizes
-//! winning mappings per chip, and the cluster executes precompiled
+//! An [`Accelerator`] owns its buffers (the psum strip, the pair-MAC band
+//! and the RLC code words) and reuses them across layers and runs, it
+//! memoizes winning mappings, and the cluster executes precompiled
 //! plans' mappings directly. None of that may change a single psum bit
 //! *or* a single statistic relative to the reference discipline — a
 //! fresh accelerator (fresh buffers, fresh search) per run.
@@ -12,7 +12,6 @@ use eyeriss::prelude::*;
 use eyeriss::Engine;
 use eyeriss_cluster::{plan_layer, Cluster, SharedDram};
 use eyeriss_dataflow::registry::builtin;
-use eyeriss_sim::SimScratch;
 use proptest::prelude::*;
 
 fn small_chip() -> AcceleratorConfig {
@@ -38,16 +37,15 @@ fn layer_strategy() -> impl Strategy<Value = (LayerShape, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Back-to-back runs on one reused scratch (and one reused chip,
-    /// whose mapping memo also kicks in) are bit-exact — psums *and*
-    /// stats — against a fresh accelerator per run, across randomized
-    /// layer shapes and repeated executions.
+    /// Back-to-back runs on one reused chip (its buffers and its mapping
+    /// memo) are bit-exact — psums *and* stats — against a fresh
+    /// accelerator per run, across randomized layer shapes and repeated
+    /// executions.
     #[test]
     fn scratch_reuse_is_bit_exact(layer_a in layer_strategy(),
                                   layer_b in layer_strategy(),
                                   sparse in 0u8..2) {
         let ((shape_a, n_a), (shape_b, n_b)) = (layer_a, layer_b);
-        let mut scratch = SimScratch::new();
         let mut reused = Accelerator::new(small_chip());
         for (shape, n) in [(shape_a, n_a), (shape_b, n_b), (shape_a, n_a)] {
             let input = if sparse == 1 {
@@ -66,24 +64,17 @@ proptest! {
                 &reference::conv_accumulate(&shape, n, &input, &weights, &bias)
             );
 
-            // Reused chip-internal scratch.
+            // The reused chip, its buffers dirty from the run before.
             let got = reused.run_conv(&shape, n, &input, &weights, &bias).unwrap();
             prop_assert_eq!(&got.psums, &want.psums);
             prop_assert_eq!(&got.stats, &want.stats);
             prop_assert_eq!(got.mapping, want.mapping);
-
-            // Explicit scratch shared across shapes and accelerators.
-            let mut other = Accelerator::new(small_chip());
-            let via_scratch = other
-                .run_conv_with(&mut scratch, &shape, n, &input, &weights, &bias)
-                .unwrap();
-            prop_assert_eq!(&via_scratch.psums, &want.psums);
-            prop_assert_eq!(&via_scratch.stats, &want.stats);
         }
     }
 
-    /// The sparsity features (zero-gating + RLC, whose encoder now
-    /// streams through the scratch) survive reuse bit-exactly.
+    /// The sparsity features (zero-gating + RLC, whose encoder streams
+    /// through the chip's reused code-word buffer) survive reuse
+    /// bit-exactly.
     #[test]
     fn sparse_features_survive_scratch_reuse(layer in layer_strategy()) {
         let (shape, n) = layer;
@@ -95,11 +86,8 @@ proptest! {
         let want = fresh.run_conv(&shape, n, &input, &weights, &bias).unwrap();
 
         let mut reused = Accelerator::new(small_chip()).zero_gating(true).rlc(true);
-        let mut scratch = SimScratch::new();
         for _ in 0..3 {
-            let got = reused
-                .run_conv_with(&mut scratch, &shape, n, &input, &weights, &bias)
-                .unwrap();
+            let got = reused.run_conv(&shape, n, &input, &weights, &bias).unwrap();
             prop_assert_eq!(&got.psums, &want.psums);
             prop_assert_eq!(&got.stats, &want.stats);
         }
